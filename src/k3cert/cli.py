@@ -113,6 +113,9 @@ def cmd_entropy(args):
     if report.salem_factor is not None:
         print("salem factor (ascending): "
               + " ".join(str(c) for c in report.salem_factor))
+    elif report.dynamical_class == "hyperbolic":
+        print("salem factor: not certified "
+              "(more than one pair of eigenvalues off the unit circle)")
     if report.order is not None:
         print(f"order: {report.order}")
     return EXIT_OK

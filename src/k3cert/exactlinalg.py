@@ -412,29 +412,22 @@ def poly_primitive(p):
 def char_poly(m):
     """Monic characteristic polynomial det(xI - M), exact.
 
-    Faddeev-LeVerrier over rationals; coefficients are integers by
-    construction and returned as ints, ascending degree.
+    Faddeev-LeVerrier over the integers: every M_k is integral and k
+    divides tr(M M_k), so each coefficient comes from an exact division.
+    Returned as ints, ascending degree.
     """
     r, c = dims(m)
     if r != c:
         raise NonSquareError("char_poly needs a square matrix")
     n = r
-    if n == 0:
-        return [1]
-    mf = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    coeffs = [0] * n + [1]
+    mk = identity(n)
     for k in range(1, n + 1):
-        # mk <- M * mk
-        nk = [[sum(mf[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        ck = -sum(nk[i][i] for i in range(n)) / k
+        mk = mat_mul(m, mk)
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division is inexact")
         coeffs[n - k] = ck
         for i in range(n):
-            nk[i][i] += ck
-        mk = nk
-    out = []
-    for x in coeffs:
-        assert x.denominator == 1
-        out.append(int(x))
-    return out
+            mk[i][i] += ck
+    return coeffs

@@ -1,8 +1,9 @@
 """Entropy and dynamical classification of lattice isometries.
 
 Everything that decides between entropy 0 and entropy > 0 is an exact
-sign computation on integer polynomials; the floating refinement of the
-spectral radius only narrows an already certified isolating interval.
+sign computation on integer polynomials; the spectral radius is refined
+by exact bisection, and floats appear only in the reported radius and
+entropy.
 """
 
 from __future__ import annotations
@@ -67,14 +68,20 @@ def euler_phi(n):
     return out
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(deg):
+    """Every n whose cyclotomic polynomial has degree phi(n) <= deg; the
+    bound phi(n) >= sqrt(n/2) limits the search to n <= 2 deg^2."""
+    return tuple(n for n in range(1, 2 * deg * deg + 1) if euler_phi(n) <= deg)
+
+
 def strip_cyclotomic_factors(p):
     """Divide out every cyclotomic factor; returns (rest, orders).
 
     orders lists n once per removed copy of the n-th cyclotomic.
     """
-    deg = len(p) - 1
     orders = []
-    candidates = [n for n in range(1, 1000) if euler_phi(n) <= deg]
+    candidates = _cyclotomic_orders(len(p) - 1)
     changed = True
     while changed and len(p) > 1:
         changed = False
@@ -139,7 +146,7 @@ def _sign_changes(seq, x):
 
 def count_real_roots(p, a, b):
     """Number of distinct real roots of p in the half-open interval (a, b]."""
-    seq = sturm_sequence(p)
+    seq = sturm_sequence(squarefree_part(p))
     return _sign_changes(seq, Fraction(a)) - _sign_changes(seq, Fraction(b))
 
 
@@ -153,49 +160,59 @@ def root_bound(p):
 def largest_real_root(p, tol=Fraction(1, 10**12)):
     """Isolate and refine the largest real root of p; exact bisection.
 
-    Returns (lo, hi) with lo < root <= hi and hi - lo <= tol.
+    Returns (lo, hi) with lo < root <= hi, hi - lo <= tol and, unless the
+    root lies within tol / 2**64 of a midpoint between two doubles,
+    float(lo) == float(hi), so float(hi) is the correctly rounded root.
     """
-    seq = sturm_sequence(p)
-    hi = root_bound(p)
+    s = squarefree_part(p)
+    seq = sturm_sequence(s)
+    hi = root_bound(s)
     lo = -hi
-    if _sign_changes(seq, lo) - _sign_changes(seq, hi) == 0:
+    v_lo, v_hi = _sign_changes(seq, lo), _sign_changes(seq, hi)
+    if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
-    # push lo up until exactly the largest root remains in (lo, hi]
-    while _sign_changes(seq, lo) - _sign_changes(seq, hi) > 1:
+    # push lo up until only the largest root remains in (lo, hi]
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        if _sign_changes(seq, mid) - _sign_changes(seq, hi) >= 1:
-            lo = mid
+        v_mid = _sign_changes(seq, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
         else:
-            hi = mid
-    # now exactly... may still hold several; tighten to a single root
-    while hi - lo > tol:
+            hi, v_hi = mid, v_mid
+    # the root is simple and s has a positive leading coefficient, so s is
+    # negative on (lo, root) and positive above it: one evaluation a step
+    floor = tol / 2**64
+    while hi - lo > tol or (float(lo) != float(hi) and hi - lo > floor):
         mid = (lo + hi) / 2
-        if _sign_changes(seq, mid) - _sign_changes(seq, hi) >= 1:
-            lo = mid
-        else:
+        if poly_eval(s, mid) >= 0:
             hi = mid
+        else:
+            lo = mid
     return lo, hi
 
 
 def has_root_above_one(p):
     """Exact: does p have a real root in (1, bound]?"""
-    seq = sturm_sequence(p)
-    return _sign_changes(seq, Fraction(1)) - _sign_changes(seq, root_bound(p)) > 0
+    s = squarefree_part(p)
+    seq = sturm_sequence(s)
+    return _sign_changes(seq, Fraction(1)) - _sign_changes(seq, root_bound(s)) > 0
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial factor extraction (degrees <= 22; no external
-# factorization dependency)
+# Squarefree parts and the Salem certificate
 
 def squarefree_part(p):
-    """Primitive squarefree part of an integer polynomial."""
+    """Primitive squarefree part of an integer polynomial, with a positive
+    leading coefficient."""
     d = poly_derivative(p)
     g = _int_poly_gcd(p, d)
     if len(g) <= 1:
-        return poly_primitive(list(p))
-    q, rem = poly_divmod_monicized(p, g)
-    assert rem == []
-    return poly_primitive(q)
+        q = poly_primitive(list(p))
+    else:
+        q, rem = poly_divmod_monicized(p, g)
+        assert rem == []
+        q = poly_primitive(q)
+    return [-c for c in q] if q and q[-1] < 0 else q
 
 
 def _int_poly_gcd(a, b):
@@ -228,102 +245,54 @@ def poly_divmod_monicized(p, q):
     return poly_trim(out), poly_trim(remi)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out | {-x for x in out})
+def trace_polynomial(s):
+    """Q with s(x) = x^d Q(x + 1/x) for a palindromic s of degree 2d.
 
-
-def irreducible_factor_with_root(p, lo, hi):
-    """Irreducible monic-up-to-sign factor of p owning the root in (lo, hi].
-
-    Squarefree reduction, rational-root test, then a Kronecker search
-    over factor degrees up to deg/2.  Degrees in scope are tiny.
+    x^-d s(x) = a_d + sum_k a_{d+k} (x^k + x^-k), and x^k + x^-k = T_k(y)
+    with T_0 = 2, T_1 = y, T_k = y T_{k-1} - T_{k-2}.
     """
-    p = squarefree_part(p)
-    while True:
-        found = _find_proper_factor(p)
-        if found is None:
-            return p
-        f, g = found
-        p = f if count_real_roots(f, lo, hi) > 0 else g
+    s = poly_trim(list(s))
+    if len(s) % 2 == 0 or s != s[::-1]:
+        raise ValueError("trace polynomial needs a palindromic polynomial of even degree")
+    d = (len(s) - 1) // 2
+    q = [0] * (d + 1)
+    q[0] = s[d]
+    t_prev, t = [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, c in enumerate(t):
+            q[i] += s[d + k] * c
+        nxt = [0] + t
+        for i, c in enumerate(t_prev):
+            nxt[i] -= c
+        t_prev, t = t, nxt
+    return q
 
 
-def _find_proper_factor(p):
-    deg = len(p) - 1
-    if deg <= 1:
+def salem_factor(s):
+    """s itself when it is certified as the minimal polynomial of a Salem
+    number, else None.
+
+    s must be free of cyclotomic factors (the `rest` of
+    strip_cyclotomic_factors).  The certificate: s is monic and
+    palindromic of degree 2d, and its trace polynomial Q has one root in
+    (2, bound] and d - 1 roots in (-2, 2), counted exactly by Sturm.  Then
+    s has one root lambda > 1, its inverse, and 2d - 2 roots on the unit
+    circle.  By Kronecker's theorem a factor with only unit-circle roots
+    would be cyclotomic, and one holding 1/lambda without lambda would
+    have constant term of absolute value 1/lambda < 1, so s is
+    irreducible (Smyth, Seventy years of Salem numbers).  For the
+    squarefree non-cyclotomic part of an isometry's characteristic
+    polynomial with a root above 1, the certificate fails exactly when two
+    or more pairs of eigenvalues lie off the unit circle.
+    """
+    s = poly_trim(list(s))
+    if len(s) % 2 == 0 or s[-1] != 1 or s != s[::-1]:
         return None
-    # rational roots: x - r with r | p(0) (after removing x | p)
-    if p[0] == 0:
-        q, _ = poly_divmod_exact(p, [0, 1])
-        return [0, 1], q
-    for r in _divisors(p[0]):
-        if poly_eval(p, r) == 0:
-            q, rem = poly_divmod_monicized(p, [-r, 1])
-            assert rem == []
-            return [-r, 1], q
-    # Kronecker: interpolate candidate divisors through divisor tuples of
-    # values at 0, 1, -1, 2, -2, ...
-    for d in range(2, deg // 2 + 1):
-        pts = [0]
-        k = 1
-        while len(pts) < d + 1:
-            pts.append(k)
-            if len(pts) < d + 1:
-                pts.append(-k)
-            k += 1
-        vals = [poly_eval(p, x) for x in pts]
-        if any(v == 0 for v in vals):
-            continue  # handled by rational roots above, only x=0 etc.
-        from itertools import product
-        choices = [_divisors(v) for v in vals]
-        for combo in product(*choices):
-            cand = _interpolate_int(pts, combo)
-            if cand is None or len(cand) - 1 != d:
-                continue
-            if cand[-1] < 0:
-                cand = [-c for c in cand]
-            try:
-                q, rem = poly_divmod_monicized(p, cand)
-            except ValueError:
-                continue
-            if rem == [] and len(q) > 1:
-                return poly_primitive(cand), q
+    q = trace_polynomial(s)
+    d = len(q) - 1
+    if count_real_roots(q, 2, root_bound(q)) == 1 and count_real_roots(q, -2, 2) == d - 1:
+        return s
     return None
-
-
-def _interpolate_int(xs, ys):
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(ys[i])]
-        den = Fraction(1)
-        for j in range(n):
-            if j != i:
-                num = [Fraction(c) for c in _frac_mul(num, [-Fraction(xs[j]), Fraction(1)])]
-                den *= xs[i] - xs[j]
-        for k, c in enumerate(num):
-            coeffs[k] += c / den
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return poly_trim(out)
-
-
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def is_reciprocal(p):
@@ -337,7 +306,14 @@ def is_reciprocal(p):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    spectral_radius: float
+    """Dynamical class and entropy of a lattice isometry.
+
+    salem_factor is None for elliptic and parabolic maps, and for a
+    hyperbolic map whose squarefree non-cyclotomic part is not certified
+    as Salem, which happens exactly when two or more pairs of eigenvalues
+    lie off the unit circle; the radius is still certified then.
+    """
+    spectral_radius: float       # float(lo) == float(hi), the rounded root
     radius_interval: tuple       # (Fraction lo, Fraction hi), certified
     entropy: float
     dynamical_class: str         # elliptic | parabolic | hyperbolic
@@ -357,18 +333,16 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     n = len(m)
     p = char_poly(m)
     rest, orders = strip_cyclotomic_factors(list(p))
-    if has_root_above_one(p):
-        lo, hi = largest_real_root(p, tol)
-        salem = irreducible_factor_with_root(p, lo, hi)
-        if salem[-1] < 0:
-            salem = [-c for c in salem]
-        radius = float((lo + hi) / 2)
+    if len(rest) > 1 and has_root_above_one(rest):
+        s = squarefree_part(rest)
+        lo, hi = largest_real_root(s, tol)
+        radius = float(hi)
         return EntropyReport(
             spectral_radius=radius,
             radius_interval=(lo, hi),
             entropy=math.log(radius),
             dynamical_class="hyperbolic",
-            salem_factor=salem,
+            salem_factor=salem_factor(s),
             order=None)
     # all eigenvalues on the unit circle (Kronecker: a monic integer
     # polynomial with all roots in the closed unit disk is a product of

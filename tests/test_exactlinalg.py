@@ -224,6 +224,31 @@ def test_char_poly_cayley_hamilton():
         assert acc == [[0] * n for _ in range(n)]
 
 
+def _sympy_char_poly(m):
+    import sympy
+    return [int(c) for c in reversed(sympy.Matrix(m).charpoly().all_coeffs())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_char_poly_matches_sympy(m):
+    assert char_poly(m) == _sympy_char_poly(m)
+
+
+def test_char_poly_dense_rank22_matches_sympy():
+    rng = random.Random(109)
+    m = [[rng.choice([x for x in range(-5, 6) if x]) for _ in range(22)] for _ in range(22)]
+    assert char_poly(m) == _sympy_char_poly(m)
+
+
+def test_char_poly_raises_on_inexact_division():
+    # a non-integral matrix: the exactness check raises instead of
+    # flooring -1/2 to -1
+    with pytest.raises(ArithmeticError):
+        char_poly([[Fraction(1, 2)]])
+
+
 def test_char_poly_constant_term_is_det():
     rng = random.Random(107)
     for _ in range(60):

@@ -1,4 +1,4 @@
-"""Entropy, cyclotomic stripping and Salem-factor extraction.
+"""Entropy, cyclotomic stripping and the Salem certificate.
 
 The hyperbolic test vector was found by the brute-force search in
 scripts/find_isometry.py (isometries of U + A1 with trace > 3); sympy
@@ -6,11 +6,15 @@ provides an independent characteristic-polynomial oracle.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3cert import cli
 from k3cert.exactlinalg import adjugate_inverse, char_poly, identity, mat_mul
 from k3cert.lattices import gram_of
 from k3cert.spectral import (
@@ -19,10 +23,13 @@ from k3cert.spectral import (
     cyclotomic,
     entropy,
     euler_phi,
+    has_root_above_one,
     is_isometry,
     is_reciprocal,
     largest_real_root,
+    salem_factor,
     strip_cyclotomic_factors,
+    trace_polynomial,
 )
 
 G3 = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
@@ -68,6 +75,9 @@ def test_sturm_root_isolation():
     lo, hi = largest_real_root(p, tol=Fraction(1, 10**12))
     mid = (lo + hi) / 2
     assert abs(float(mid) - math.sqrt(2)) < 1e-9
+    # a bisection point that hits a rational root keeps it in (lo, hi]
+    lo, hi = largest_real_root([-1, 0, 1])
+    assert lo < 1 <= hi and float(hi) == 1.0
 
 
 def test_entropy_elliptic():
@@ -147,3 +157,142 @@ def test_entropy_of_inverse_and_powers():
 def test_entropy_rejects_non_isometry():
     with pytest.raises(NotIsometryError):
         entropy([[2, 0, 0], [0, 1, 0], [0, 0, 1]], G3)
+
+
+# ---------------------------------------------------------------------------
+# repeated eigenvalues, the Salem certificate, rank 22
+
+X = sympy.Symbol("x")
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(row)] = row
+        off += len(b)
+    return out
+
+
+def brackets(interval, root):
+    """lo < root <= hi, decided exactly by sympy."""
+    lo, hi = (sympy.Rational(f.numerator, f.denominator) for f in interval)
+    return bool(lo < root) and bool(root <= hi)
+
+
+def test_sturm_counts_at_a_repeated_root():
+    # (x - 1)^2 (x + 1) (x^2 - 6x + 1): every Sturm term of p itself
+    # vanishes at x = 1
+    p = [1, -7, 6, 6, -7, 1]
+    assert has_root_above_one(p)
+    assert count_real_roots(p, 1, 6) == 1
+    assert count_real_roots(p, 0, 1) == 2
+    assert count_real_roots(p, -2, 0) == 1
+
+
+def test_entropy_hyperbolic_with_repeated_eigenvalue_one():
+    g = block_diag(G3, [[-2]], [[-2]])
+    m = block_diag(M_HYP, [[1]], [[1]])
+    assert char_poly(m) == [1, -7, 6, 6, -7, 1]
+    rep = entropy(m, g)
+    assert rep.dynamical_class == "hyperbolic"
+    assert rep.salem_factor == [1, -6, 1]
+    assert brackets(rep.radius_interval, 3 + 2 * sympy.sqrt(2))
+
+
+def test_spectral_radius_is_the_rounded_interval():
+    for m in (M_HYP, mat_mul(M_HYP, M_HYP)):
+        rep = entropy(m, G3)
+        lo, hi = rep.radius_interval
+        assert rep.spectral_radius == float(lo) == float(hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-20, 20).filter(bool), st.lists(st.integers(-20, 20), max_size=5),
+       st.integers(-20, 20))
+def test_trace_polynomial_round_trip(lead, inner, middle):
+    # palindromic of degree 2d
+    s = [lead] + inner + [middle] + inner[::-1] + [lead]
+    d = len(inner) + 1
+    q = trace_polynomial(s)
+    assert len(q) == d + 1
+    y = sympy.Poly(list(reversed(q)), X).as_expr()
+    back = sympy.expand(X**d * y.subs(X, X + 1 / X))
+    assert sympy.Poly(back, X).all_coeffs()[::-1] == s
+
+
+def test_lehmer_polynomial_is_certified():
+    assert salem_factor(LEHMER) == LEHMER
+    assert salem_factor([1, -6, 1]) == [1, -6, 1]
+    # the cyclotomic x^2 + x + 1 has no root off the unit circle
+    assert salem_factor([1, 1, 1]) is None
+
+
+def t_pqr_gram(p, q, r):
+    """Gram of the T_{p,q,r} diagram: arms of p, q and r nodes sharing a
+    centre, simple roots of square -2."""
+    n = p + q + r - 2
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    node = 1
+    for arm in (p, q, r):
+        prev = 0
+        for _ in range(arm - 1):
+            g[prev][node] = g[node][prev] = 1
+            prev, node = node, node + 1
+    return g
+
+
+def coxeter_element(g):
+    """Product of the simple reflections x -> x + (x.e_i) e_i."""
+    n = len(g)
+    m = identity(n)
+    for i in range(n):
+        s = identity(n)
+        s[i] = [s[i][j] + g[i][j] for j in range(n)]
+        m = mat_mul(m, s)
+    return m
+
+
+def test_rank22_coxeter_salem_factor():
+    g = t_pqr_gram(2, 3, 19)
+    m = coxeter_element(g)
+    assert len(m) == 22 and is_isometry(m, g)
+    start = time.perf_counter()
+    rep = entropy(m, g)
+    elapsed = time.perf_counter() - start
+    cp = sympy.Poly(list(reversed(char_poly(m))), X)
+    (want,) = [sympy.Poly(f, X) for f, _ in sympy.factor_list(cp.as_expr())[1]
+               if sympy.Poly(f, X).count_roots(1, None) > 0 and f.subs(X, 1) != 0]
+    assert rep.salem_factor == [int(c) for c in reversed(want.all_coeffs())]
+    assert len(rep.salem_factor) == 23
+    assert rep.dynamical_class == "hyperbolic"
+    assert brackets(rep.radius_interval, max(want.real_roots()))
+    assert elapsed < 1.0
+
+
+def test_two_pairs_off_the_unit_circle_are_not_certified():
+    # M_HYP + M_HYP^2: eigenvalues lambda, lambda^2 and their inverses
+    g = block_diag(G3, G3)
+    m = block_diag(M_HYP, mat_mul(M_HYP, M_HYP))
+    rest, _ = strip_cyclotomic_factors(char_poly(m))
+    q = trace_polynomial(rest)
+    assert sympy.factor(sympy.Poly(list(reversed(q)), X).as_expr()) == (X - 6) * (X - 34)
+    rep = entropy(m, g)
+    assert rep.dynamical_class == "hyperbolic"
+    assert rep.salem_factor is None
+    assert brackets(rep.radius_interval, 17 + 12 * sympy.sqrt(2))
+
+
+def test_cli_reports_an_uncertified_salem_factor(tmp_path, capsys):
+    g = block_diag(G3, G3)
+    m = block_diag(M_HYP, mat_mul(M_HYP, M_HYP))
+    path = tmp_path / "iso.txt"
+    path.write_text("6 " + " ".join(str(x) for row in g + m for x in row) + "\n")
+    assert cli.run(["entropy", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "class: hyperbolic" in out
+    assert ("salem factor: not certified "
+            "(more than one pair of eigenvalues off the unit circle)") in out
