@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success / all PASS, 1 verification FAIL, 2 usage or parse
-error.  Output is byte-stable across runs for identical inputs.
+Exit codes: 0 success / all PASS, 1 verification FAIL, 2 usage, parse
+or input error (every K3CertError).  Output is byte-stable across runs
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import sys
 
 from . import cases, fileio, spectral
 from .curves import is_fiber_class
-from .fibration import EvidenceError, height_pairing, shioda_tate_rank
+from .errors import K3CertError
+from .exactlinalg import char_poly
+from .fibration import height_pairing, shioda_tate_rank
 from .lattices import LatticeParseError, lattice_info
 
 EXIT_OK = 0
@@ -91,22 +94,14 @@ def cmd_height(args):
         return EXIT_USAGE
     model = parsed.model
     model.validate(parsed.cfg)
-    try:
-        h = height_pairing(model, parsed.cfg, args.section)
-    except EvidenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    h = height_pairing(model, parsed.cfg, args.section)
     print(f"<{args.section}, {args.section}> = {h}")
     return EXIT_OK
 
 
 def cmd_entropy(args):
     g, m = fileio.parse_isometry_file(args.file)
-    try:
-        report = spectral.entropy(m, g)
-    except spectral.NotIsometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = spectral.entropy(m, g)
     print(f"class: {report.dynamical_class}")
     print(f"spectral radius: {report.spectral_radius:.10f}")
     print(f"entropy: {report.entropy:.10f}")
@@ -114,8 +109,12 @@ def cmd_entropy(args):
         print("salem factor (ascending): "
               + " ".join(str(c) for c in report.salem_factor))
     elif report.dynamical_class == "hyperbolic":
-        print("salem factor: not certified "
-              "(more than one pair of eigenvalues off the unit circle)")
+        # with no eigenvalue above 1, the radius belongs to one below -1
+        if spectral.has_root_above_one(char_poly(m)):
+            reason = "more than one pair of eigenvalues off the unit circle"
+        else:
+            reason = "the spectral radius is a negative eigenvalue"
+        print(f"salem factor: not certified ({reason})")
     if report.order is not None:
         print(f"order: {report.order}")
     return EXIT_OK
@@ -229,7 +228,7 @@ def run(argv=None):
     except fileio.FileFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (K3CertError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .errors import K3CertError
 from .exactlinalg import inertia, kernel_basis
 
 
-class ConfigError(ValueError):
+class ConfigError(K3CertError):
     pass
 
 
-class FiberError(ValueError):
+class FiberError(K3CertError):
     pass
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import K3CertError
 
-class NonSquareError(ValueError):
+
+class NonSquareError(K3CertError):
     pass
 
 
-class NonSymmetricError(ValueError):
+class NonSymmetricError(K3CertError):
     pass
 
 
@@ -203,109 +205,191 @@ def smith_normal_form(m):
     return a, u, v
 
 
+def elementary_divisors(m):
+    """Smith invariants d_1 | d_2 | ... | d_n of a nonsingular integer
+    matrix, without transforms.
+
+    Smith elimination modulo R = |det m| (Cohen, GTM 138, Alg. 2.4.14).
+    Z^n / m Z^n has order R, so R Z^n lies in the column lattice and
+    every entry may be reduced mod R.  Once a divisor d splits off, the
+    rest has order R / d, and R shrinks with it.  Entries stay below R.
+    """
+    r, c = dims(m)
+    if r != c:
+        raise NonSquareError("elementary divisors need a square matrix")
+    n = r
+    big = abs(det_exact(m))
+    if big == 0:
+        raise ValueError("elementary divisors need a nonsingular matrix")
+    a = [[x % big for x in row] for row in m]
+    out = []
+    for t in range(n):
+        if big == 1:
+            return out + [1] * (n - t)
+        while True:
+            _clear_cross(a, t, big)
+            d = gcd(a[t][t], big)
+            bad = next((i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            # d does not divide the rest: pull the offending row into the
+            # pivot row, so the next clearing pass shrinks the pivot
+            a[t] = [(x + y) % big for x, y in zip(a[t], a[bad])]
+        out.append(d)
+        big //= d
+        for i in range(t + 1, n):
+            a[i] = [x % big for x in a[i]]
+    return out
+
+
+def _xgcd(x, y):
+    """(g, s, u) with s*x + u*y = g = gcd(x, y) >= 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return (x, s0, u0) if x >= 0 else (-x, -s0, -u0)
+
+
+def _clear_cross(a, t, mod):
+    """Zero column t below and row t right of a[t][t], modulo mod, by
+    unimodular row and column operations on rows and columns >= t (the
+    rows and columns above t are already clear).  Each gcd step that is
+    not a plain subtraction strictly lowers a[t][t], so this ends."""
+    n = len(a)
+    while True:
+        for i in range(t + 1, n):
+            y = a[i][t]
+            if not y:
+                continue
+            x = a[t][t]
+            rt, ri = a[t], a[i]
+            if x and y % x == 0:
+                q = y // x
+                a[i] = [(v - q * w) % mod for v, w in zip(ri, rt)]
+            else:
+                g, s, u = _xgcd(x, y)
+                xg, yg = x // g, y // g
+                a[t] = [(s * w + u * v) % mod for w, v in zip(rt, ri)]
+                a[i] = [(xg * v - yg * w) % mod for w, v in zip(rt, ri)]
+        clean = True
+        for j in range(t + 1, n):
+            y = a[t][j]
+            if not y:
+                continue
+            x = a[t][t]
+            if x and y % x == 0:
+                q = y // x
+                for row in a[t:]:
+                    row[j] = (row[j] - q * row[t]) % mod
+            else:
+                g, s, u = _xgcd(x, y)
+                xg, yg = x // g, y // g
+                for row in a[t:]:
+                    w, v = row[t], row[j]
+                    row[t] = (s * w + u * v) % mod
+                    row[j] = (xg * v - yg * w) % mod
+                clean = False
+        if clean:
+            return
+
+
 def inertia(m):
     """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Exact rational symmetric elimination.  When every remaining diagonal
-    pivot vanishes but some off-diagonal entry does not, a row+column
-    addition creates a usable diagonal pivot (hyperbolic 2x2 blocks).
+    Symmetric fraction-free (Bareiss) elimination.  After k pivots every
+    trailing entry is a (k+1)-minor divided exactly by the k-minor prev,
+    so the k-th pivot of the rational LDL^T is a[k][k] / prev and its
+    sign is the product of their signs.  When every remaining diagonal
+    entry vanishes but some off-diagonal entry does not, a row+column
+    addition creates a usable diagonal pivot (hyperbolic 2x2 blocks); it
+    is a congruence, and the trailing entries stay minors.
     """
     if not is_symmetric(m):
         raise NonSymmetricError("inertia needs a symmetric matrix")
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    n_plus = n_minus = n_zero = 0
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                piv = i
-                break
+    a = copy_matrix(m)
+    n_plus = n_minus = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if off is None:
-                n_zero += n - k
-                break
+                return n_plus, n_minus, n - k
             i, j = off
             # congruence: row_i += row_j, col_i += col_j; diagonal gains 2*a[i][j]
-            for t in range(n):
+            for t in range(k, n):
                 a[i][t] += a[j][t]
-            for t in range(n):
+            for t in range(k, n):
                 a[t][i] += a[t][j]
             piv = i
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if d > 0:
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
-        # symmetric Schur complement on the trailing block
-        col = [a[i][k] for i in range(n)]
+        tail = a[k][k + 1:]
         for i in range(k + 1, n):
-            if col[i]:
-                fi = col[i] / d
-                for j in range(k + 1, n):
-                    a[i][j] -= fi * col[j]
-        for i in range(k + 1, n):
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-        k += 1
-    return n_plus, n_minus, n_zero
+            f = a[i][k]
+            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], tail)]
+        prev = p
+    return n_plus, n_minus, 0
 
 
 def kernel_basis(m):
-    """Rational kernel of an integer matrix, as primitive integer vectors."""
+    """Rational kernel of an integer matrix, as primitive integer vectors.
+
+    Fraction-free (Bareiss) row echelon form, then integer back
+    substitution that scales the vector whenever a pivot does not divide.
+    The vector of the t-th free column is positive there and 0 at the
+    other free columns: the primitive positive multiple of the kernel
+    vector that the reduced row echelon form gives for that column.
+    """
     r, c = dims(m)
-    a = [[Fraction(x) for x in row] for row in m]
+    a = copy_matrix(m)
     pivots = []
-    row = 0
+    prev = 1
     for col in range(c):
-        sel = None
-        for i in range(row, r):
-            if a[i][col] != 0:
-                sel = i
-                break
+        row = len(pivots)
+        if row == r:
+            break
+        sel = next((i for i in range(row, r) if a[i][col]), None)
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        d = a[row][col]
-        a[row] = [x / d for x in a[row]]
-        for i in range(r):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        p = a[row][col]
+        tail = a[row][col + 1:]
+        for i in range(row + 1, r):
+            f = a[i][col]
+            a[i][col + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][col + 1:], tail)]
         pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    free = [j for j in range(c) if j not in pivots]
+        prev = p
+    pivot_set = set(pivots)
     basis = []
-    for fj in free:
-        vec = [Fraction(0)] * c
-        vec[fj] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            vec[pj] = -a[i][fj]
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g:
-            ints = [x // g for x in ints]
-        basis.append(ints)
+    for fj in range(c):
+        if fj in pivot_set:
+            continue
+        vec = [0] * c
+        vec[fj] = 1
+        for i in reversed(range(len(pivots))):
+            pj = pivots[i]
+            row = a[i]
+            s = sum(row[j] * vec[j] for j in range(pj + 1, c) if vec[j])
+            d = row[pj]
+            scale = abs(d) // gcd(s, d)
+            if scale != 1:
+                vec = [scale * x for x in vec]
+                s *= scale
+            vec[pj] = -s // d
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import DivisorClass, FiberError, is_fiber_class, pairing
+from .errors import K3CertError
 
 
-class EvidenceError(ValueError):
+class EvidenceError(K3CertError):
     pass
 
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import DivisorClass, classify_fiber, make_config
+from .errors import K3CertError
 from .fibration import FiberInModel, FibrationModel
 
 
-class FileFormatError(ValueError):
+class FileFormatError(K3CertError):
     def __init__(self, message, line_no):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no

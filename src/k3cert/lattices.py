@@ -18,19 +18,19 @@ to e3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .errors import K3CertError
 from .exactlinalg import (
     det_exact,
+    elementary_divisors,
     inertia,
     is_symmetric,
-    smith_normal_form,
     mat_mul,
     transpose,
 )
 
 
-class LatticeParseError(ValueError):
+class LatticeParseError(K3CertError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
@@ -231,11 +231,11 @@ def gram_of(text):
     return gram(parse_lattice_expr(text))
 
 
-class DegenerateLatticeError(ValueError):
+class DegenerateLatticeError(K3CertError):
     pass
 
 
-class NotTwoElementaryError(ValueError):
+class NotTwoElementaryError(K3CertError):
     pass
 
 
@@ -244,8 +244,7 @@ def discriminant_group(lat):
     g = lat.gram_rows()
     if det_exact(g) == 0:
         raise DegenerateLatticeError("degenerate lattice has no finite discriminant group")
-    d, _, _ = smith_normal_form(g)
-    return [d[i][i] for i in range(lat.rank) if d[i][i] > 1]
+    return [d for d in elementary_divisors(g) if d > 1]
 
 
 @dataclass(frozen=True)
@@ -255,68 +254,52 @@ class TwoElementaryInvariants:
     delta: int
 
 
-def _disc_form_value(lift, g):
-    """q(x) = x.x of a rational lift, reduced into [0, 2) of Q/2Z."""
+def _kernel_mod_2(g):
+    """An F_2 basis of the kernel of g mod 2, each vector as its support."""
     n = len(g)
-    val = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            val += lift[i] * g[i][j] * lift[j]
-    return val % 2
+    rows = [sum(1 << j for j in range(n) if g[i][j] & 1) for i in range(n)]
+    reduced = []   # (pivot column, row) in reduced row echelon form
+    for col in range(n):
+        bit = 1 << col
+        sel = next((k for k, r in enumerate(rows) if r & bit), None)
+        if sel is None:
+            continue
+        prow = rows.pop(sel)
+        rows = [r ^ prow if r & bit else r for r in rows]
+        reduced = [(pc, r ^ prow if r & bit else r) for pc, r in reduced]
+        reduced.append((col, prow))
+    pivot_cols = {pc for pc, _ in reduced}
+    return [[f] + [pc for pc, r in reduced if r >> f & 1]
+            for f in range(n) if f not in pivot_cols]
 
 
 def two_elementary_invariants(lat):
     """(rank, a, delta) of a 2-elementary even lattice.
 
-    delta = 0 iff the discriminant quadratic form is integer valued on
-    all of L*/L.  Generators of L*/L and their rational lifts are read
-    off the Smith transform: if U G V = D then the rows of U^{-1}... we
-    use the columns of V directly: G * (V e_i / d_i) has integer inner
-    products with L, so v_i / d_i generate L*/L.
+    When 2L* lies in L, x -> 2x maps L*/L onto K/2L, where K holds the y
+    in L with G y = 0 mod 2.  So a = n - rank(G mod 2), and L is
+    2-elementary iff |det G| = 2^a (the even elementary divisors of G
+    number a, and their product is 2^a only when each is 2).  The
+    discriminant form is q(y/2) = y.y/4 mod 2Z.  On K, y.z is even, so
+    y.y mod 4 is additive and does not depend on the lift: delta = 0 iff
+    y.y = 0 mod 4 for every y in an F_2 basis of K.
     """
     g = lat.gram_rows()
     n = lat.rank
-    if det_exact(g) == 0:
+    det = det_exact(g)
+    if det == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    d, u, v = smith_normal_form(g)
-    divisors = [d[i][i] for i in range(n)]
-    for di in divisors:
-        if di not in (1, 2):
-            raise NotTwoElementaryError(
-                f"discriminant group has a factor of order {di}, not 2-elementary")
-    a = sum(1 for di in divisors if di == 2)
-    # Generators: columns of U^T scaled by 1/d_i.  From U G V = D,
-    # G (V e_i) = U^{-1} D e_i = d_i * (U^{-1} e_i), so x_i := (U^{-1} e_i)/1...
-    # Work instead with y_i := column i of V: G y_i = d_i u_i' where u_i' is
-    # integral; then y_i / d_i pairs integrally with... directly: dual basis
-    # vectors are the columns of G^{-1}; L*/L generators can be taken as
-    # (1/d_i) * y_i with y_i the i-th column of V, since V is unimodular and
-    # G V = U^{-1} D.
-    delta = 0
-    order2 = [i for i in range(n) if divisors[i] == 2]
-    for i in order2:
-        lift = [Fraction(v[r][i], divisors[i]) for r in range(n)]
-        if _disc_form_value(lift, g).denominator != 1:
-            delta = 1
-            break
-    # delta also forced by mixed terms? For 2-elementary groups q(x+y) - q(x) - q(y)
-    # = 2 b(x,y) in 2Z iff b(x,y) in Z... b can be half-integral, but q integer on
-    # generators plus q(x+y) = q(x)+q(y)+2b(x,y) means integrality must be checked
-    # on sums too when b is half-integral.
-    if delta == 0:
-        for ii in range(len(order2)):
-            for jj in range(ii + 1, len(order2)):
-                i, j = order2[ii], order2[jj]
-                lift = [Fraction(v[r][i] + v[r][j], 2) for r in range(n)]
-                if _disc_form_value(lift, g).denominator != 1:
-                    delta = 1
-                    break
-            if delta:
-                break
+    kernel = _kernel_mod_2(g)
+    a = len(kernel)
+    if abs(det) != 1 << a:
+        raise NotTwoElementaryError(
+            f"|det| = {abs(det)} is not 2^a = {1 << a}: the discriminant group "
+            f"is not 2-elementary")
+    delta = int(any(sum(g[i][j] for i in y for j in y) % 4 for y in kernel))
     return TwoElementaryInvariants(rank=n, a=a, delta=delta)
 
 
-class ParityError(ValueError):
+class ParityError(K3CertError):
     pass
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import K3CertError
 from .exactlinalg import (
     char_poly,
     dims,
@@ -21,13 +22,14 @@ from .exactlinalg import (
     poly_divmod_exact,
     poly_derivative,
     poly_eval,
+    poly_mul,
     poly_primitive,
     poly_trim,
     transpose,
 )
 
 
-class NotIsometryError(ValueError):
+class NotIsometryError(K3CertError):
     pass
 
 
@@ -55,16 +57,22 @@ def cyclotomic(n):
 
 def euler_phi(n):
     out = n
+    for p in _prime_factors(n):
+        out -= out // p
+    return out
+
+
+def _prime_factors(n):
+    out = []
     d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if m > 1:
-        out -= out // m
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -191,6 +199,11 @@ def largest_real_root(p, tol=Fraction(1, 10**12)):
     return lo, hi
 
 
+def _reflect(p):
+    """p(-x)."""
+    return [-c if k % 2 else c for k, c in enumerate(p)]
+
+
 def has_root_above_one(p):
     """Exact: does p have a real root in (1, bound]?"""
     s = squarefree_part(p)
@@ -311,7 +324,8 @@ class EntropyReport:
     salem_factor is None for elliptic and parabolic maps, and for a
     hyperbolic map whose squarefree non-cyclotomic part is not certified
     as Salem, which happens exactly when two or more pairs of eigenvalues
-    lie off the unit circle; the radius is still certified then.
+    lie off the unit circle or when the one pair off it is negative; the
+    radius, the largest |eigenvalue|, is still certified then.
     """
     spectral_radius: float       # float(lo) == float(hi), the rounded root
     radius_interval: tuple       # (Fraction lo, Fraction hi), certified
@@ -324,7 +338,8 @@ class EntropyReport:
 def entropy(m, g, tol=Fraction(1, 10**10)):
     """Classify an isometry and compute its entropy log(spectral radius).
 
-    Hyperbolic vs radius-1 is decided by an exact Sturm count above 1;
+    Hyperbolic vs radius-1 is decided by exact Sturm counts of the real
+    eigenvalues above 1 and below -1;
     elliptic vs parabolic by exact matrix powering up to the lcm of the
     cyclotomic orders in the characteristic polynomial.
     """
@@ -333,24 +348,32 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     n = len(m)
     p = char_poly(m)
     rest, orders = strip_cyclotomic_factors(list(p))
-    if len(rest) > 1 and has_root_above_one(rest):
+    if len(rest) > 1:
+        # the radius is the largest |eigenvalue|.  A certified Salem factor
+        # holds it at a positive eigenvalue; otherwise it may sit at a
+        # negative one, and the largest root of s(x) s(-x) is max |root|.
+        positive = has_root_above_one(rest)
         s = squarefree_part(rest)
-        lo, hi = largest_real_root(s, tol)
+        factor = salem_factor(s) if positive else None
+        radius_poly = s
+        if factor is None:
+            reflected = _reflect(s)
+            if has_root_above_one(reflected):
+                radius_poly = poly_mul(s, reflected)
+            elif not positive:
+                # Kronecker: a monic integer polynomial with all roots in
+                # the closed unit disk is a product of cyclotomics and a
+                # power of x, which an isometry excludes
+                raise NotIsometryError("spectrum on the unit circle but not cyclotomic")
+        lo, hi = largest_real_root(radius_poly, tol)
         radius = float(hi)
         return EntropyReport(
             spectral_radius=radius,
             radius_interval=(lo, hi),
             entropy=math.log(radius),
             dynamical_class="hyperbolic",
-            salem_factor=salem_factor(s),
+            salem_factor=factor,
             order=None)
-    # all eigenvalues on the unit circle (Kronecker: a monic integer
-    # polynomial with all roots in the closed unit disk is a product of
-    # cyclotomics and a power of x; isometries exclude the latter)
-    if len(rest) > 1:
-        # non-cyclotomic factor with no root off the unit circle cannot
-        # occur for an isometry; defensive
-        raise NotIsometryError("spectrum on the unit circle but not cyclotomic")
     order = 1
     for k in orders:
         order = order * k // math.gcd(order, k)
@@ -374,18 +397,11 @@ def _mat_pow(m, k):
 
 
 def _exact_order(m, bound):
-    for d in sorted(_positive_divisors(bound)):
-        if _mat_pow(m, d) == identity(len(m)):
-            return d
-    raise AssertionError("order bound was not an order multiple")
-
-
-def _positive_divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+    """Order of m, given that m^bound = I: divide each prime out of bound
+    while the power stays the identity."""
+    ident = identity(len(m))
+    order = bound
+    for p in _prime_factors(bound):
+        while order % p == 0 and _mat_pow(m, order // p) == ident:
+            order //= p
+    return order

@@ -7,6 +7,7 @@ the functions under test.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from k3cert.exactlinalg import (
     adjugate_inverse,
     char_poly,
     det_exact,
+    elementary_divisors,
     identity,
     inertia,
     kernel_basis,
@@ -315,3 +317,168 @@ def test_poly_divmod_roundtrip(p, q):
 def test_poly_eval_mul_compatible(p, x):
     q = [1, 2, 1]
     assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free inertia and kernel against a Fraction reference
+
+def _frac_inertia(m):
+    """Reference: rational symmetric elimination with the same pivoting."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    plus = minus = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if off is None:
+                return plus, minus, n - k
+            i, j = off
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            piv = i
+        a[k], a[piv] = a[piv], a[k]
+        for row in a:
+            row[k], row[piv] = row[piv], row[k]
+        d = a[k][k]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        for i in range(k + 1, n):
+            a[k][i] = Fraction(0)
+    return plus, minus, 0
+
+
+def _frac_kernel_basis(m):
+    """Reference: reduced row echelon form over Q; one vector per free
+    column, cleared of denominators and made primitive and positive there."""
+    a = [[Fraction(x) for x in row] for row in m]
+    r, c = len(a), len(a[0])
+    pivots = []
+    for col in range(c):
+        row = len(pivots)
+        sel = next((i for i in range(row, r) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        a[row] = [x / a[row][col] for x in a[row]]
+        for i in range(r):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+    basis = []
+    for fj in (j for j in range(c) if j not in pivots):
+        vec = [Fraction(0)] * c
+        vec[fj] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            vec[pj] = -a[i][fj]
+        den = 1
+        for x in vec:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+def _oracle_matrices(rng):
+    """Random symmetric matrices, rank-deficient A^T D A, and zero-diagonal
+    matrices built from hyperbolic blocks, n <= 8."""
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        yield random_symmetric(rng, n)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, n - 1)
+        a = random_matrix(rng, k, n)
+        d = [rng.choice((-3, -1, 1, 2)) for _ in range(k)]
+        yield [[sum(a[t][i] * d[t] * a[t][j] for t in range(k)) for j in range(n)]
+               for i in range(n)]
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        m = [[0] * n for _ in range(n)]
+        for i in range(0, n - 1, 2):
+            m[i][i + 1] = m[i + 1][i] = rng.choice((-2, -1, 1, 3))
+        s = random_unimodular(rng, n)
+        yield rng.choice((m, mat_mul(transpose(s), mat_mul(m, s))))
+
+
+def test_inertia_and_kernel_match_fraction_reference():
+    rng = random.Random(110)
+    for m in _oracle_matrices(rng):
+        assert inertia(m) == _frac_inertia(m), m
+        assert kernel_basis(m) == _frac_kernel_basis(m), m
+
+
+def test_kernel_matches_fraction_reference_on_rectangular_matrices():
+    rng = random.Random(111)
+    for _ in range(100):
+        r, c = rng.randint(1, 6), rng.randint(1, 8)
+        m = random_matrix(rng, r, c)
+        if r > 2:
+            m[-1] = [x - y for x, y in zip(m[0], m[1])]
+        assert kernel_basis(m) == _frac_kernel_basis(m), m
+
+
+def test_fiber_matrices_of_verify_all_match_fraction_reference(monkeypatch):
+    from k3cert import cases, curves
+    seen = set()
+    real = curves.inertia
+
+    def record(m):
+        seen.add(tuple(map(tuple, m)))
+        return real(m)
+    monkeypatch.setattr(curves, "inertia", record)
+    cases.verify_all()
+    assert len(seen) > 20
+    for key in seen:
+        m = [list(row) for row in key]
+        assert inertia(m) == _frac_inertia(m)
+        assert kernel_basis(m) == _frac_kernel_basis(m)
+
+
+# ---------------------------------------------------------------------------
+# Smith invariants modulo the determinant
+
+def _sympy_invariants(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    return [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_elementary_divisors_match_sympy(m):
+    if det_exact(m) == 0:
+        with pytest.raises(ValueError):
+            elementary_divisors(m)
+        return
+    assert elementary_divisors(m) == _sympy_invariants(m)
+
+
+def test_elementary_divisors_of_a_dense_rank16_basis():
+    # a rank-16 Gram in a basis of 64 elementary steps: the entries grow
+    # large, the invariants are those of the block-diagonal Gram
+    from k3cert.lattices import gram_of
+    rng = random.Random(112)
+    for expr in ("U+D4+A1^2+E8", "U(2)+D6+A1^8", "U+A2+D5+A1^7"):
+        g = gram_of(expr).gram_rows()
+        s = identity(16)
+        for _ in range(64):
+            i, j = rng.sample(range(16), 2)
+            c = rng.choice((1, -1))
+            for row in s:
+                row[j] += c * row[i]
+        dense = mat_mul(transpose(s), mat_mul(g, s))
+        assert max(abs(x) for row in dense for x in row) > 100
+        assert elementary_divisors(dense) == _sympy_invariants(g)

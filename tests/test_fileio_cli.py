@@ -1,5 +1,6 @@
 """File formats and the command-line interface (exit codes, stability)."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,3 +151,43 @@ def test_cli_case_dump(capsys):
     assert out.startswith("# case rho20")
     assert "divisor E1:" in out
     assert cli.run(["case", "dump", "nope"]) == 2
+
+
+# sha256 of `verify --all --json`: a change to any output byte fails here
+VERIFY_JSON_SHA256 = "797c8062152a60cb2b86b429fac9179a9a78bfbdee4fd4d25fbb92968a9a2ab6"
+
+
+def test_cli_verify_all_json_is_pinned(capsys):
+    assert cli.run(["verify", "--all", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
+    assert sum(row["status"] == "PASS" for row in json.loads(out)) == 13
+    assert cli.run(["verify", "--all"]) == 1
+    assert capsys.readouterr().out.endswith("13/16 PASS\n")
+
+
+def test_every_error_class_has_the_one_root():
+    from k3cert import curves, errors, exactlinalg, fibration, lattices, spectral
+    classes = [exactlinalg.NonSquareError, exactlinalg.NonSymmetricError,
+               lattices.LatticeParseError, lattices.DegenerateLatticeError,
+               lattices.NotTwoElementaryError, lattices.ParityError,
+               curves.ConfigError, curves.FiberError, fibration.EvidenceError,
+               fileio.FileFormatError, spectral.NotIsometryError]
+    assert all(issubclass(c, errors.K3CertError) for c in classes)
+    assert issubclass(errors.K3CertError, ValueError)
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["fiber", "classify", "{file}", "E"], "curves: a b\nmeets: a b 2\ndivisor E: a=-1\n",
+     "error: divisor class is not effective\n"),
+    (["height", "{file}", "Q"], SAMPLE, None),
+    (["entropy", "{file}"], "1 2 3\n", "error: matrix does not preserve the form\n"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.run([str(path) if a == "{file}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message is None or captured.err == message

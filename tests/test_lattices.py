@@ -1,5 +1,8 @@
 """Lattice grammar, Gram construction and 2-elementary invariants."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from k3cert.lattices import (
     fixed_locus_component_count,
     gram_of,
     lattice_info,
+    make_lattice,
     parse_lattice_expr,
     two_elementary_invariants,
 )
@@ -92,6 +96,73 @@ def test_not_two_elementary():
         two_elementary_invariants(gram_of("U+A2"))
     with pytest.raises(NotTwoElementaryError):
         two_elementary_invariants(gram_of("U+D5"))
+
+
+@pytest.mark.parametrize("expr", ["U+A2", "U+D5", "U(3)", "U(4)", "U+A3"])
+def test_not_two_elementary_in_any_basis(expr):
+    g = _random_basis_gram(gram_of(expr).gram_rows(), random.Random(expr))
+    with pytest.raises(NotTwoElementaryError):
+        two_elementary_invariants(make_lattice(g))
+
+
+def _random_basis_gram(g, rng, steps=12):
+    """S^T G S for S a signed permutation times elementary column steps."""
+    n = len(g)
+    s = [[0] * n for _ in range(n)]
+    for j, i in enumerate(rng.sample(range(n), n)):
+        s[i][j] = rng.choice((1, -1))
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        for row in s:
+            row[j] += c * row[i]
+    gs = [[sum(g[i][k] * s[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(s[k][i] * gs[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _discriminant_form_brute_force(g):
+    """(a, delta) by enumerating A_L = L*/L: close the columns of G^-1
+    under addition modulo Z^n, then read the order, the exponent and the
+    values q(x) = x.x mod 2Z."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(g)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    gens = [tuple(a[i][n + j] % 1 for i in range(n)) for j in range(n)]
+    group = {tuple([Fraction(0)] * n)}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            z = tuple((u + v) % 1 for u, v in zip(x, y))
+            if z not in group:
+                group.add(z)
+                frontier.append(z)
+    assert all(all((2 * u) % 1 == 0 for u in x) for x in group), "not 2-elementary"
+    order = len(group)
+    assert order & (order - 1) == 0
+    q = [sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) for x in group]
+    return order.bit_length() - 1, int(any(v.denominator != 1 for v in q))
+
+
+@pytest.mark.parametrize("expr", [
+    "U", "U+A1", "U(2)", "U(2)+A1", "U+A1^2", "U+D4", "U(2)+D4", "U+A1^4",
+    "U+E8+A1^3", "U+D6+A1^2", "U+D4^2", "U+D8", "U(2)+A1^2", "E7+A1", "U+E8^2+D4"])
+def test_two_elementary_invariants_match_brute_force_in_random_bases(expr):
+    rng = random.Random(expr)
+    g = gram_of(expr).gram_rows()
+    for _ in range(3):
+        dense = _random_basis_gram(g, rng)
+        inv = two_elementary_invariants(make_lattice(dense))
+        assert inv.a <= 4
+        assert (inv.a, inv.delta) == _discriminant_form_brute_force(dense)
 
 
 def test_degenerate_rejected():

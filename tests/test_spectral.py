@@ -296,3 +296,47 @@ def test_cli_reports_an_uncertified_salem_factor(tmp_path, capsys):
     assert "class: hyperbolic" in out
     assert ("salem factor: not certified "
             "(more than one pair of eigenvalues off the unit circle)") in out
+
+
+def test_negative_spectral_radius_on_u_plus_a1():
+    # -M_HYP: char poly (x - 1)(x^2 + 6x + 1), radius 3 + 2 sqrt 2 at -lambda
+    neg = [[-x for x in row] for row in M_HYP]
+    assert is_isometry(neg, G3)
+    rep = entropy(neg, G3)
+    assert rep.dynamical_class == "hyperbolic"
+    assert rep.salem_factor is None
+    assert brackets(rep.radius_interval, 3 + 2 * sympy.sqrt(2))
+    assert abs(rep.entropy - entropy(M_HYP, G3).entropy) < 3e-9
+
+
+@pytest.mark.parametrize("sign1,sign2", [(1, -1), (-1, 1)])
+def test_spectral_radius_is_the_largest_absolute_eigenvalue(sign1, sign2):
+    # +-M_HYP + -+M_HYP^2: real eigenvalues +-lambda^{+-1} and -+lambda^{+-2}
+    g = block_diag(G3, G3)
+    m = block_diag([[sign1 * x for x in row] for row in M_HYP],
+                   [[sign2 * x for x in row] for row in mat_mul(M_HYP, M_HYP)])
+    rep = entropy(m, g)
+    assert rep.dynamical_class == "hyperbolic"
+    assert rep.salem_factor is None
+    assert brackets(rep.radius_interval, 17 + 12 * sympy.sqrt(2))
+    assert abs(rep.spectral_radius - 33.970562748477) < 1e-9
+
+
+def test_cli_note_for_a_negative_spectral_radius(tmp_path, capsys):
+    path = tmp_path / "iso.txt"
+    neg = [[-x for x in row] for row in M_HYP]
+    path.write_text("3 " + " ".join(str(x) for row in G3 + neg for x in row) + "\n")
+    assert cli.run(["entropy", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "spectral radius: 5.8284271247" in out
+    assert "salem factor: not certified (the spectral radius is a negative eigenvalue)" in out
+    assert "more than one pair" not in out
+
+
+def test_exact_order_divides_primes_out_of_the_bound():
+    from k3cert.spectral import _exact_order
+    # a rotation of order 6 on A2 + A1 sign flip: order 6
+    m = block_diag([[0, -1], [1, 1]], [[-1]])
+    for bound in (6, 12, 30, 60, 210):
+        assert _exact_order(m, bound) == 6
+    assert _exact_order(identity(3), 60) == 1
