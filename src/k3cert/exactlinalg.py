@@ -6,7 +6,6 @@ arithmetic is arbitrary precision throughout, no floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import K3CertError
@@ -29,11 +28,6 @@ def dims(m):
     return rows, cols
 
 
-def is_square(m):
-    r, c = dims(m)
-    return r == c
-
-
 def is_symmetric(m):
     r, c = dims(m)
     if r != c:
@@ -49,7 +43,7 @@ def zeros(r, c):
     return [[0] * c for _ in range(r)]
 
 def copy_matrix(m):
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def mat_mul(a, b):
@@ -68,14 +62,6 @@ def mat_mul(a, b):
                 for j in range(cb):
                     oi[j] += aik * bk[j]
     return out
-
-
-def mat_sub(a, b):
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    if (ra, ca) != (rb, cb):
-        raise ValueError("dimension mismatch in mat_sub")
-    return [[a[i][j] - b[i][j] for j in range(ca)] for i in range(ra)]
 
 
 def transpose(m):
@@ -205,9 +191,9 @@ def smith_normal_form(m):
     return a, u, v
 
 
-def elementary_divisors(m):
+def elementary_divisors(m, det=None):
     """Smith invariants d_1 | d_2 | ... | d_n of a nonsingular integer
-    matrix, without transforms.
+    matrix, without transforms; det is det_exact(m) when the caller has it.
 
     Smith elimination modulo R = |det m| (Cohen, GTM 138, Alg. 2.4.14).
     Z^n / m Z^n has order R, so R Z^n lies in the column lattice and
@@ -218,7 +204,7 @@ def elementary_divisors(m):
     if r != c:
         raise NonSquareError("elementary divisors need a square matrix")
     n = r
-    big = abs(det_exact(m))
+    big = abs(det_exact(m) if det is None else det)
     if big == 0:
         raise ValueError("elementary divisors need a nonsingular matrix")
     a = [[x % big for x in row] for row in m]
@@ -422,15 +408,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def poly_neg(p):
-    return [-x for x in p]
-
-
 def poly_mul(p, q):
     if not p or not q:
         return []
@@ -442,39 +419,62 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_scale(p, k):
-    return poly_trim([k * x for x in p])
-
-
 def poly_eval(p, x):
-    acc = 0 if not isinstance(x, Fraction) else Fraction(0)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def poly_degree(p):
-    return len(p) - 1
-
-
 def poly_divmod_exact(p, q):
-    """Divide p by q when q is monic up to sign; raises if division is inexact."""
+    """(quotient, remainder) of p by q over the integers.
+
+    Every quotient coefficient must be an integer, which holds when q is
+    monic up to sign, or when q is primitive and divides p (Gauss's
+    lemma); otherwise raises ValueError.
+    """
     q = poly_trim(q)
     p = list(poly_trim(p))
     if not q:
         raise ZeroDivisionError
     lead = q[-1]
-    if lead not in (1, -1):
-        raise ValueError("divisor must have leading coefficient ±1")
     out = [0] * max(len(p) - len(q) + 1, 0)
-    while len(p) >= len(q) and p:
+    while len(p) >= len(q):
         k = len(p) - len(q)
-        f = p[-1] * lead
+        f, r = divmod(p[-1], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
         out[k] = f
         for i, c in enumerate(q):
             p[k + i] -= f * c
-        p = poly_trim(p)
+        while p and not p[-1]:
+            p.pop()
     return poly_trim(out), p
+
+
+def poly_pseudo_remainder(a, b):
+    """r with c*a = u*b + r, deg r < deg b, for an integer polynomial u and
+    an integer c > 0 (a product of divisors of |lc(b)|): the remainder of
+    a by b over Q times a positive integer, computed in integers."""
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, low = b[-1], b[:-1]
+    r = list(poly_trim(a))
+    while len(r) >= len(b):
+        f = r.pop()
+        g = gcd(f, lead)
+        f //= g
+        if lead != g:
+            r = [(lead // g) * c for c in r]
+        k = len(r) - len(low)
+        for i, c in enumerate(low):
+            r[k + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def poly_derivative(p):

@@ -25,8 +25,6 @@ from .exactlinalg import (
     elementary_divisors,
     inertia,
     is_symmetric,
-    mat_mul,
-    transpose,
 )
 
 
@@ -239,12 +237,15 @@ class NotTwoElementaryError(K3CertError):
     pass
 
 
-def discriminant_group(lat):
-    """Elementary divisors > 1 of the Gram matrix, i.e. L*/L as cyclic orders."""
+def discriminant_group(lat, det=None):
+    """Elementary divisors > 1 of the Gram matrix, i.e. L*/L as cyclic
+    orders; det is the Gram determinant when the caller has it."""
     g = lat.gram_rows()
-    if det_exact(g) == 0:
+    if det is None:
+        det = det_exact(g)
+    if det == 0:
         raise DegenerateLatticeError("degenerate lattice has no finite discriminant group")
-    return [d for d in elementary_divisors(g) if d > 1]
+    return [d for d in elementary_divisors(g, det) if d > 1]
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,9 @@ def _kernel_mod_2(g):
             for f in range(n) if f not in pivot_cols]
 
 
-def two_elementary_invariants(lat):
-    """(rank, a, delta) of a 2-elementary even lattice.
+def two_elementary_invariants(lat, det=None):
+    """(rank, a, delta) of a 2-elementary even lattice; det is the Gram
+    determinant when the caller has it.
 
     When 2L* lies in L, x -> 2x maps L*/L onto K/2L, where K holds the y
     in L with G y = 0 mod 2.  So a = n - rank(G mod 2), and L is
@@ -286,7 +288,8 @@ def two_elementary_invariants(lat):
     """
     g = lat.gram_rows()
     n = lat.rank
-    det = det_exact(g)
+    if det is None:
+        det = det_exact(g)
     if det == 0:
         raise DegenerateLatticeError("degenerate lattice")
     kernel = _kernel_mod_2(g)
@@ -326,17 +329,12 @@ def lattice_info(text):
         "det": det,
     }
     if det != 0:
-        dg = discriminant_group(lat)
+        dg = discriminant_group(lat, det)
         info["discriminant_group"] = dg
         if all(x == 2 for x in dg):
-            inv = two_elementary_invariants(lat)
+            inv = two_elementary_invariants(lat, det)
             info["two_elementary"] = {"rank": inv.rank, "a": inv.a, "delta": inv.delta}
             if (inv.rank + inv.a) % 2 == 0 and inv.rank >= inv.a:
                 info["fixed_locus_components"] = fixed_locus_component_count(inv.rank, inv.a)
     return info
 
-
-def congruent_gram(lat, s):
-    """Gram of the same bilinear form in the basis given by integer matrix s."""
-    g = lat.gram_rows()
-    return mat_mul(transpose(s), mat_mul(g, s))

@@ -1,8 +1,10 @@
 """Entropy and dynamical classification of lattice isometries.
 
 Everything that decides between entropy 0 and entropy > 0 is an exact
-sign computation on integer polynomials; the spectral radius is refined
-by exact bisection, and floats appear only in the reported radius and
+sign computation on integer polynomials: Sturm chains and gcds are
+primitive pseudo-remainder sequences over Z, and signs at a rational
+point come from integer Horner.  The spectral radius is refined by
+integer bisection, and floats appear only in the reported radius and
 entropy.
 """
 
@@ -19,11 +21,11 @@ from .exactlinalg import (
     dims,
     identity,
     mat_mul,
-    poly_divmod_exact,
     poly_derivative,
-    poly_eval,
+    poly_divmod_exact,
     poly_mul,
     poly_primitive,
+    poly_pseudo_remainder,
     poly_trim,
     transpose,
 )
@@ -106,97 +108,114 @@ def strip_cyclotomic_factors(p):
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences (rational arithmetic, exact signs)
-
-def _to_frac_poly(p):
-    return [Fraction(c) for c in p]
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        out[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return out, a
-
+# Sturm sequences over the integers (exact signs, no Fraction arithmetic)
+#
+# A rational point a/b, b > 0, travels as the two integers a and b, and a
+# polynomial p of degree k is signed there by b^k p(a/b), which is an
+# integer with the same sign (homogeneous Horner).
 
 def sturm_sequence(p):
-    p0 = _to_frac_poly(p)
-    p1 = _to_frac_poly(poly_derivative(p))
-    seq = [p0, p1]
+    """Sturm chain of p as a primitive pseudo-remainder sequence.
+
+    Each term is a positive multiple of the classical one (p, p', then
+    minus the remainder of the two before), so every sign and every count
+    of sign changes is the same (Cohen, GTM 138, section 3.3).
+    """
+    seq = [list(p), poly_primitive(poly_derivative(p))]
     while len(seq[-1]) > 1:
-        _, rem = _frac_poly_divmod(seq[-2], seq[-1])
+        rem = poly_pseudo_remainder(seq[-2], seq[-1])
         if not rem:
             break
-        seq.append([-c for c in rem])
+        seq.append([-c for c in poly_primitive(rem)])
     return seq
 
 
-def _sign_changes(seq, x):
-    signs = []
+def _value(p, a, b):
+    """b^deg(p) * p(a / b): the sign of p at a/b for b > 0."""
+    if not p:
+        return 0
+    acc, bk = p[-1], 1
+    for c in p[-2::-1]:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
+
+
+def _sign_changes(seq, a, b=1):
+    """Sign changes of the chain at a/b, b > 0, zeros skipped."""
+    changes = last = 0
     for p in seq:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        v = _value(p, a, b)
+        if v:
+            if last and (v < 0) != (last < 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _changes_at(seq, x):
+    x = Fraction(x)
+    return _sign_changes(seq, x.numerator, x.denominator)
 
 
 def count_real_roots(p, a, b):
     """Number of distinct real roots of p in the half-open interval (a, b]."""
     seq = sturm_sequence(squarefree_part(p))
-    return _sign_changes(seq, Fraction(a)) - _sign_changes(seq, Fraction(b))
+    return _changes_at(seq, a) - _changes_at(seq, b)
 
 
 def root_bound(p):
     """Cauchy bound on absolute values of roots, as a Fraction."""
     p = poly_trim(list(p))
+    if len(p) <= 1:
+        return Fraction(1)
     lead = abs(p[-1])
-    return 1 + max(Fraction(abs(c), lead) for c in p[:-1]) if len(p) > 1 else Fraction(1)
+    return Fraction(lead + max(abs(c) for c in p[:-1]), lead)
 
 
-def largest_real_root(p, tol=Fraction(1, 10**12)):
+def largest_real_root(p, tol=Fraction(1, 10**12), squarefree=False):
     """Isolate and refine the largest real root of p; exact bisection.
 
     Returns (lo, hi) with lo < root <= hi, hi - lo <= tol and, unless the
-    root lies within tol / 2**64 of a midpoint between two doubles,
-    float(lo) == float(hi), so float(hi) is the correctly rounded root.
+    root lies within tol / 2**12 of 0 or within tol / 2**64 of a midpoint
+    between two doubles, float(lo) == float(hi), so float(hi) is the
+    correctly rounded root.  squarefree=True says that p is already
+    squarefree with a positive leading coefficient, as squarefree_part
+    returns it, and skips that step.
+
+    The ends are integers over one denominator that doubles each step, so
+    the midpoints are exactly those of a bisection of (-bound, bound].
     """
-    s = squarefree_part(p)
-    seq = sturm_sequence(s)
-    hi = root_bound(s)
-    lo = -hi
-    v_lo, v_hi = _sign_changes(seq, lo), _sign_changes(seq, hi)
+    if not squarefree:
+        p = squarefree_part(p)
+    chain = sturm_sequence(p)
+    bound = root_bound(p)
+    den = bound.denominator
+    lo, hi = -bound.numerator, bound.numerator
+    v_lo, v_hi = _sign_changes(chain, lo, den), _sign_changes(chain, hi, den)
     if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
     # push lo up until only the largest root remains in (lo, hi]
     while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = _sign_changes(seq, mid)
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        v_mid = _sign_changes(chain, mid, den)
         if v_mid - v_hi >= 1:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    # the root is simple and s has a positive leading coefficient, so s is
-    # negative on (lo, root) and positive above it: one evaluation a step
-    floor = tol / 2**64
-    while hi - lo > tol or (float(lo) != float(hi) and hi - lo > floor):
-        mid = (lo + hi) / 2
-        if poly_eval(s, mid) >= 0:
+    # the root is simple and p has a positive leading coefficient, so p is
+    # negative on (lo, root) and positive above it: one evaluation a step.
+    # hi - lo > tol is (hi - lo) * tol_den > tol_num * den, and the floor
+    # is tol / 2**64; int / int is correctly rounded, as float(Fraction) is.
+    tol_num, tol_den = tol.numerator, tol.denominator
+    while ((hi - lo) * tol_den > tol_num * den
+           or (lo / den != hi / den and (hi - lo) * tol_den << 64 > tol_num * den)):
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        if _value(p, mid, den) >= 0:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _reflect(p):
@@ -206,9 +225,7 @@ def _reflect(p):
 
 def has_root_above_one(p):
     """Exact: does p have a real root in (1, bound]?"""
-    s = squarefree_part(p)
-    seq = sturm_sequence(s)
-    return _sign_changes(seq, Fraction(1)) - _sign_changes(seq, root_bound(s)) > 0
+    return count_real_roots(p, 1, root_bound(p)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,45 +234,24 @@ def has_root_above_one(p):
 def squarefree_part(p):
     """Primitive squarefree part of an integer polynomial, with a positive
     leading coefficient."""
-    d = poly_derivative(p)
-    g = _int_poly_gcd(p, d)
+    p = poly_trim(list(p))
+    g = _int_poly_gcd(p, poly_derivative(p))
     if len(g) <= 1:
-        q = poly_primitive(list(p))
+        q = poly_primitive(p)
     else:
-        q, rem = poly_divmod_monicized(p, g)
+        q, rem = poly_divmod_exact(p, g)
         assert rem == []
         q = poly_primitive(q)
     return [-c for c in q] if q and q[-1] < 0 else q
 
 
 def _int_poly_gcd(a, b):
-    fa, fb = _to_frac_poly(a), _to_frac_poly(b)
-    while fb and any(fb):
-        _, rem = _frac_poly_divmod(fa, fb)
-        fa, fb = fb, rem
-    # clear denominators, make primitive
-    den = 1
-    for c in fa:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in fa]
-    return poly_primitive(ints) if ints else []
-
-
-def poly_divmod_monicized(p, q):
-    """Exact division of integer polynomials with arbitrary leading
-    coefficients, via rationals; result must be integral."""
-    fq, rem = _frac_poly_divmod(_to_frac_poly(p), _to_frac_poly(q))
-    out = []
-    for c in fq:
-        if c.denominator != 1:
-            raise ValueError("inexact division")
-        out.append(int(c))
-    remi = []
-    for c in rem:
-        if c.denominator != 1:
-            raise ValueError("inexact remainder")
-        remi.append(int(c))
-    return poly_trim(out), poly_trim(remi)
+    """Primitive gcd of integer polynomials, up to sign, by the primitive
+    pseudo-remainder sequence."""
+    a, b = poly_primitive(poly_trim(a)), poly_primitive(poly_trim(b))
+    while b:
+        a, b = b, poly_primitive(poly_pseudo_remainder(a, b))
+    return a
 
 
 def trace_polynomial(s):
@@ -281,6 +277,24 @@ def trace_polynomial(s):
     return q
 
 
+def _trace_root_counts(s):
+    """Distinct roots of the trace polynomial Q of s below -2, in (-2, 2)
+    and above 2, from one Sturm chain of Q evaluated at -bound, -2, 2 and
+    bound.  s must be palindromic of even degree and free of cyclotomic
+    factors, so that Q has no root at -2 or 2.
+
+    A root y of Q is the pair {x, 1/x} of roots of s with x + 1/x = y:
+    below -2 a real pair under -1, in (-2, 2) a pair on the unit circle,
+    above 2 a real pair over 1, and off the real line a pair of non-real
+    roots off the unit circle.
+    """
+    q = trace_polynomial(s)
+    seq = sturm_sequence(q)
+    bound = root_bound(q)
+    v = [_changes_at(seq, x) for x in (-bound, -2, 2, bound)]
+    return v[0] - v[1], v[1] - v[2], v[2] - v[3]
+
+
 def salem_factor(s):
     """s itself when it is certified as the minimal polynomial of a Salem
     number, else None.
@@ -301,11 +315,8 @@ def salem_factor(s):
     s = poly_trim(list(s))
     if len(s) % 2 == 0 or s[-1] != 1 or s != s[::-1]:
         return None
-    q = trace_polynomial(s)
-    d = len(q) - 1
-    if count_real_roots(q, 2, root_bound(q)) == 1 and count_real_roots(q, -2, 2) == d - 1:
-        return s
-    return None
+    _, inside, above = _trace_root_counts(s)
+    return s if above == 1 and inside == len(s) // 2 - 1 else None
 
 
 def is_reciprocal(p):
@@ -323,9 +334,10 @@ class EntropyReport:
 
     salem_factor is None for elliptic and parabolic maps, and for a
     hyperbolic map whose squarefree non-cyclotomic part is not certified
-    as Salem, which happens exactly when two or more pairs of eigenvalues
-    lie off the unit circle or when the one pair off it is negative; the
-    radius, the largest |eigenvalue|, is still certified then.
+    as Salem, which happens exactly when two or more pairs of real
+    eigenvalues lie off the unit circle or when the one pair off it is
+    negative; the radius, the largest |eigenvalue|, is still certified
+    then.  Non-real eigenvalues off the unit circle raise K3CertError.
     """
     spectral_radius: float       # float(lo) == float(hi), the rounded root
     radius_interval: tuple       # (Fraction lo, Fraction hi), certified
@@ -338,34 +350,41 @@ class EntropyReport:
 def entropy(m, g, tol=Fraction(1, 10**10)):
     """Classify an isometry and compute its entropy log(spectral radius).
 
-    Hyperbolic vs radius-1 is decided by exact Sturm counts of the real
-    eigenvalues above 1 and below -1;
-    elliptic vs parabolic by exact matrix powering up to the lcm of the
-    cyclotomic orders in the characteristic polynomial.
+    Hyperbolic vs radius-1 is decided by whether anything is left after
+    the cyclotomic factors are stripped (Kronecker); the radius is the
+    largest real root, found by exact Sturm counts on one squarefree part
+    s, computed once.  Elliptic vs parabolic is decided by exact matrix
+    powering up to the lcm of the cyclotomic orders in the characteristic
+    polynomial.  Raises K3CertError when the form is degenerate (the
+    characteristic polynomial is not reciprocal) and when eigenvalues off
+    the unit circle are not real, which no isometry of signature (1, n-1)
+    has.
     """
     if not is_isometry(m, g):
         raise NotIsometryError("matrix does not preserve the form")
     n = len(m)
     p = char_poly(m)
+    if not is_reciprocal(p):
+        # M^T G M = G with G invertible makes M conjugate to its inverse
+        # transpose, whose characteristic polynomial is the reciprocal one
+        raise K3CertError("characteristic polynomial is not reciprocal: the form is degenerate")
     rest, orders = strip_cyclotomic_factors(list(p))
     if len(rest) > 1:
-        # the radius is the largest |eigenvalue|.  A certified Salem factor
-        # holds it at a positive eigenvalue; otherwise it may sit at a
-        # negative one, and the largest root of s(x) s(-x) is max |root|.
-        positive = has_root_above_one(rest)
+        # rest is monic, palindromic of even degree and has a root off the
+        # unit circle (Kronecker), so s has one too
         s = squarefree_part(rest)
-        factor = salem_factor(s) if positive else None
+        factor = salem_factor(s)
         radius_poly = s
         if factor is None:
-            reflected = _reflect(s)
-            if has_root_above_one(reflected):
-                radius_poly = poly_mul(s, reflected)
-            elif not positive:
-                # Kronecker: a monic integer polynomial with all roots in
-                # the closed unit disk is a product of cyclotomics and a
-                # power of x, which an isometry excludes
-                raise NotIsometryError("spectrum on the unit circle but not cyclotomic")
-        lo, hi = largest_real_root(radius_poly, tol)
+            below, inside, above = _trace_root_counts(s)
+            if below + inside + above < len(s) // 2:
+                raise K3CertError("eigenvalues off the unit circle are not real: "
+                                  "spectral radius not certified")
+            if below:
+                # the radius may sit at a negative eigenvalue; the largest
+                # root of s(x) s(-x) is the largest |real root| of s
+                radius_poly = poly_mul(s, _reflect(s))
+        lo, hi = largest_real_root(radius_poly, tol, squarefree=radius_poly is s)
         radius = float(hi)
         return EntropyReport(
             spectral_radius=radius,

@@ -28,6 +28,7 @@ from k3cert.exactlinalg import (
     poly_divmod_exact,
     poly_eval,
     poly_mul,
+    poly_pseudo_remainder,
     smith_normal_form,
     transpose,
 )
@@ -309,6 +310,41 @@ def test_poly_divmod_roundtrip(p, q):
         total.pop()
     assert total == trimmed
     assert len(rem) < len(q)
+
+
+def test_poly_divmod_exact_by_a_primitive_divisor():
+    # (2x + 3)(3x^2 - x + 1) divided by the non-monic 2x + 3
+    assert poly_divmod_exact(poly_mul([3, 2], [1, -1, 3]), [3, 2]) == ([1, -1, 3], [])
+    with pytest.raises(ValueError):
+        poly_divmod_exact([1, 0, 1], [3, 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda q: q[-1] != 0))
+def test_poly_pseudo_remainder_is_a_positive_multiple_of_the_remainder(p, q):
+    import sympy
+    x = sympy.Symbol("x")
+    r = poly_pseudo_remainder(p, q)
+    want = sympy.rem(sympy.Poly(p[::-1], x), sympy.Poly(q[::-1], x), domain="QQ")
+    got = sympy.Poly(r[::-1], x, domain="QQ")
+    assert len(r) < len(q) and all(isinstance(c, int) for c in r)
+    if want.is_zero:
+        assert r == []
+    else:
+        ratio = got.LC() / want.LC()
+        assert ratio > 0 and got == want * ratio
+
+
+def test_tuple_of_tuples_matrices():
+    g = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    rows = [list(r) for r in g]
+    assert det_exact(g) == det_exact(rows) == 4
+    assert inertia(g) == inertia(rows) == (3, 0, 0)
+    assert elementary_divisors(g) == elementary_divisors(rows) == [1, 1, 4]
+    singular = ((1, 2, 3), (2, 4, 6))
+    assert kernel_basis(singular) == kernel_basis([list(r) for r in singular])
+    assert g == ((2, 1, 0), (1, 2, 1), (0, 1, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -204,6 +204,20 @@ def test_lattice_info_shape():
     assert info["det"] == 512
 
 
+def test_lattice_info_takes_the_determinant_once(monkeypatch):
+    from k3cert import exactlinalg, lattices
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return det_exact(m)
+    monkeypatch.setattr(lattices, "det_exact", counting)
+    monkeypatch.setattr(exactlinalg, "det_exact", counting)
+    info = lattice_info("U+D4+A1^7")
+    assert info["det"] == 512 and info["fixed_locus_components"] == 3
+    assert calls == [13]
+
+
 ATOMS = st.sampled_from(["U", "A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8"])
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3cert import cli
+from k3cert.errors import K3CertError
 from k3cert.exactlinalg import adjugate_inverse, char_poly, identity, mat_mul
 from k3cert.lattices import gram_of
 from k3cert.spectral import (
@@ -28,7 +29,9 @@ from k3cert.spectral import (
     is_reciprocal,
     largest_real_root,
     salem_factor,
+    squarefree_part,
     strip_cyclotomic_factors,
+    sturm_sequence,
     trace_polynomial,
 )
 
@@ -340,3 +343,148 @@ def test_exact_order_divides_primes_out_of_the_bound():
     for bound in (6, 12, 30, 60, 210):
         assert _exact_order(m, bound) == 6
     assert _exact_order(identity(3), 60) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer Sturm layer against sympy
+
+def _poly_from_factors(lead, factors):
+    """lead * prod f^e, ascending coefficients; repeated factors on purpose."""
+    p = sympy.Integer(lead)
+    for coeffs, e in factors:
+        p *= sympy.Poly(list(reversed(coeffs)), X).as_expr() ** e
+    return [int(c) for c in reversed(sympy.Poly(p, X).all_coeffs())]
+
+
+FACTORS = st.lists(
+    st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+              st.integers(1, 3)),
+    min_size=1, max_size=3)
+LEADS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+POINTS = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LEADS, FACTORS, POINTS, POINTS)
+def test_count_real_roots_matches_sympy(lead, factors, a, b):
+    p = _poly_from_factors(lead, factors)
+    a, b = min(a, b), max(a, b)
+    poly = sympy.Poly(list(reversed(p)), X)
+    ra, rb = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+    # sympy counts distinct roots in [a, b]; count_real_roots in (a, b]
+    want = poly.count_roots(ra, rb) - (poly.eval(ra) == 0) if a < b else 0
+    assert count_real_roots(p, a, b) == want
+
+
+def _normal(coeffs):
+    """Primitive, positive leading coefficient."""
+    g = math.gcd(*coeffs)
+    coeffs = [c // g for c in coeffs]
+    return [-c for c in coeffs] if coeffs[-1] < 0 else coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(LEADS, FACTORS)
+def test_squarefree_part_matches_sympy(lead, factors):
+    p = _poly_from_factors(lead, factors)
+    want = sympy.Poly(list(reversed(p)), X).sqf_part()
+    got = squarefree_part(p)
+    assert got == _normal([int(c) for c in reversed(want.all_coeffs())])
+    assert got[-1] > 0 and math.gcd(*got) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(LEADS, FACTORS)
+def test_largest_real_root_brackets_sympy(lead, factors):
+    p = _poly_from_factors(lead, factors)
+    roots = sympy.Poly(list(reversed(p)), X).real_roots()
+    if not roots:
+        with pytest.raises(ValueError):
+            largest_real_root(p)
+        return
+    lo, hi = largest_real_root(p)
+    assert brackets((lo, hi), max(roots))
+    assert hi - lo <= Fraction(1, 10**12)
+    # near 0 the doubles are finer than the refinement floor tol / 2**64
+    assert float(lo) == float(hi) or max(roots) == 0
+
+
+def test_sturm_sequence_is_integral_and_primitive():
+    seq = sturm_sequence(LEHMER)
+    assert seq[0] == LEHMER
+    for term in seq[1:]:
+        assert all(isinstance(c, int) for c in term)
+        assert math.gcd(*term) == 1
+    assert len(seq[-1]) == 1
+
+
+# ---------------------------------------------------------------------------
+# inputs the Salem path cannot certify exit 2 with one line
+
+# U + U as M_2(Z) with q = 2 det, in the basis E11, E12, E21, E22
+G_UU = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
+
+
+def left_right(a, b):
+    """X -> A X B on M_2(Z), row-major coordinates: A (x) B^T."""
+    return [[a[i][k] * b[l][j] for k in range(2) for l in range(2)]
+            for i in range(2) for j in range(2)]
+
+
+def iso_file(tmp_path, g, m):
+    path = tmp_path / "iso.txt"
+    path.write_text(f"{len(g)} " + " ".join(str(x) for row in g + m for x in row) + "\n")
+    return str(path)
+
+
+def test_complex_eigenvalues_off_the_unit_circle_exit_2(tmp_path, capsys):
+    m = left_right([[2, 1], [1, 1]], [[0, -1], [1, 0]])
+    assert is_isometry(m, G_UU)
+    assert char_poly(m) == [1, 0, 7, 0, 1]
+    assert cli.run(["entropy", iso_file(tmp_path, G_UU, m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: eigenvalues off the unit circle are not real: "
+                            "spectral radius not certified\n")
+
+
+def test_real_and_complex_pairs_off_the_unit_circle_are_refused():
+    # eigenvalues 3 +- 2 sqrt 2 and +-i ((7 +- 3 sqrt 5) / 2): the complex
+    # pair has the larger modulus, which the real Sturm counts cannot see
+    g = block_diag(G3, G_UU)
+    m = block_diag(M_HYP, left_right([[5, 3], [3, 2]], [[0, -1], [1, 0]]))
+    assert is_isometry(m, g)
+    with pytest.raises(K3CertError, match="eigenvalues off the unit circle are not real"):
+        entropy(m, g)
+
+
+def test_degenerate_form_exits_2(tmp_path, capsys):
+    path = iso_file(tmp_path, [[0, 0], [0, 0]], [[2, 1], [0, 3]])
+    assert cli.run(["entropy", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: characteristic polynomial is not reciprocal: "
+                            "the form is degenerate\n")
+
+
+# ---------------------------------------------------------------------------
+# the exact stdout of `k3cert entropy`, byte for byte
+
+SALEM_10 = "1 1 0 -1 -1 -1 -1 -1 0 1 1"
+SALEM_22 = "1 1 0 " + " ".join(["-1"] * 17) + " 0 1 1"
+
+
+@pytest.mark.parametrize("g,m,out", [
+    (G3, M_HYP,
+     "class: hyperbolic\nspectral radius: 5.8284271247\nentropy: 1.7627471740\n"
+     "salem factor (ascending): 1 -6 1\n"),
+    (t_pqr_gram(2, 3, 7), coxeter_element(t_pqr_gram(2, 3, 7)),
+     "class: hyperbolic\nspectral radius: 1.1762808183\nentropy: 0.1623576120\n"
+     f"salem factor (ascending): {SALEM_10}\n"),
+    (t_pqr_gram(2, 3, 19), coxeter_element(t_pqr_gram(2, 3, 19)),
+     "class: hyperbolic\nspectral radius: 1.3220142396\nentropy: 0.2791565126\n"
+     f"salem factor (ascending): {SALEM_22}\n"),
+], ids=["M_HYP", "T2,3,7", "T2,3,19"])
+def test_cli_entropy_stdout_is_pinned(tmp_path, capsys, g, m, out):
+    assert cli.run(["entropy", iso_file(tmp_path, g, m)]) == 0
+    assert capsys.readouterr().out == out
