@@ -16,23 +16,23 @@ from .curves import (
     DivisorClass,
     FiberError,
     classify_fiber,
+    classify_support,
+    fiber_class_verdict,
     kinds_compatible,
     make_config,
     pairing,
     theta_constraints,
 )
+from .errors import K3CertError
 from .exactlinalg import det_exact
 from .fibration import (
+    Check,
     Decomposition,
-    EvidenceError,
     EvidenceFailure,
-    FiberInModel,
-    FibrationModel,
-    MWEvidence,
+    MWPlan,
     TriplePointWitness,
     cor32_verify,
-    height_pairing,
-    lemma54_check,
+    mw_evidence,
     shioda_tate_rank,
 )
 from .lattices import (
@@ -59,7 +59,7 @@ class CaseInstance:
     e_kind: str                    # expected Kodaira kind of E1 and E2
     dec1: Decomposition
     dec2: Decomposition
-    mw_plan: tuple                 # see _evidence_for_plan
+    mw_plan: MWPlan
     witness: object                # TriplePointWitness or None
     encoding_flags: tuple
 
@@ -69,7 +69,6 @@ class CaseRecord:
     case_id: str
     triple: tuple
     ns_expr: str
-    param_name: str                # "" when the record is concrete
     param_values: tuple            # (None,) when concrete
     builder: object = field(compare=False)
 
@@ -77,7 +76,7 @@ class CaseRecord:
         if param is None and self.param_values != (None,):
             param = self.param_values[0]
         if param not in self.param_values:
-            raise ValueError(
+            raise K3CertError(
                 f"{self.case_id}: parameter {param!r} not in {self.param_values}")
         return self.builder(param)
 
@@ -114,7 +113,7 @@ def _build_rho11(t):
         ns_expr="U(2)+A1^9", k=1, cfg=cfg, fixed_curves=("C",),
         phi_fibers=(), phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I2/III", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=TriplePointWitness(
             "fixed-pivot",
             "C is pointwise fixed and gH is the image of H, so any point "
@@ -145,7 +144,7 @@ def _build_rho12(_):
                          for i in range(1, 11)),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I4", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "C1.H_i = 1 and C2.H_i = 1 by the normalization of the fixed "
@@ -177,7 +176,7 @@ def _build_rho13(_):
         + tuple((f"G{i}", "I2", (f"H{i}", f"H{i}'")) for i in range(1, 8)),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I6", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "the I0* fiber is 2C2 + F1 + F2 + F3 + F4 with C2 central",
@@ -216,7 +215,7 @@ def _build_rho14(_):
                 for s in ("", "'", "''", "'''")),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I6", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "F44-type curves meet C4 at two distinct points (intersection "
@@ -257,7 +256,7 @@ def _build_rho15(_):
                     ("G0", "I2", ("F15", "F55"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I8", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "three I0* fibers centered at C2, C3, C4; C3 stays off "
@@ -305,7 +304,7 @@ def _build_rho16(_):
                     ("GB", "I2", ("F16'", "F66'"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I12", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "the I2* fibers have double chains C2-G23-C3 and C4-G45-C5 with "
@@ -353,7 +352,7 @@ def _build_rho17(_):
                     ("GA", "I2", ("F17", "F77"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I14", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "the I4* fiber's chain is C4-G45-C5-G56-C6 with leaves F47, "
@@ -397,7 +396,7 @@ def _build_rho18_delta0(_):
                                    "C5", "G56", "C6", "G67", "C7", "F17", "F78"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "the delta = 0 case: fibers I0* + I8* (discriminant forms of "
@@ -443,7 +442,7 @@ def _build_rho18_delta1(_):
                     ("GB", "I2", ("F18'", "F88'"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "the delta = 1 companion of rank 18: one I10* fiber plus two "
@@ -485,7 +484,7 @@ def _build_rho19(_):
                     ("GA", "I2", ("F19", "F99"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=("lemma54",),
+        mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
             "C1 stays off Supp E_i with C1.E_i = 0; Mordell-Weil "
@@ -530,8 +529,8 @@ def _build_rho20(_):
                                    "C8", "G89", "C9", "F90", "F90'"))),
         phi_rank_expected=None,
         e1=e1, e2=e2, e_kind="IV*", dec1=dec1, dec2=dec2,
-        mw_plan=("additive-same-component", "G23", "G34",
-                 {"G23": "C3", "G34": "C3"}),
+        mw_plan=MWPlan("additive-same-component", "G23", "G34",
+                       {"G23": "C3", "G34": "C3"}),
         witness=None,
         encoding_flags=(
             "the fiber list of the IV* fibrations |E_i| is not declared "
@@ -578,7 +577,7 @@ def _build_singular_k3(variant):
         phi_fibers=tuple(phi_fibers),
         phi_rank_expected=2 if variant == "none" else 1,
         e1=e1, e2=e2, e_kind="I12*", dec1=dec1, dec2=dec2,
-        mw_plan=("height-positive", "a8", "b8", {"a8": "a7", "b8": "b7"}),
+        mw_plan=MWPlan("height-positive", "a8", "b8", {"a8": "a7", "b8": "b7"}),
         witness=None,
         encoding_flags=(
             "NS = U + E8^2 + N with N opaque (det N not in {3,4}); no "
@@ -596,18 +595,18 @@ def _build_singular_k3(variant):
 def builtin_cases():
     """All built-in case records in deterministic order."""
     return [
-        CaseRecord("rho11", (11, 11, 1), "U(2)+A1^9", "t", (0, 1, 2), _build_rho11),
-        CaseRecord("rho12", (12, 10, 1), "U+A1^10", "", (None,), _build_rho12),
-        CaseRecord("rho13", (13, 9, 1), "U+D4+A1^7", "", (None,), _build_rho13),
-        CaseRecord("rho14", (14, 8, 1), "U+D4^2+A1^4", "", (None,), _build_rho14),
-        CaseRecord("rho15", (15, 7, 1), "U+D4^3+A1", "", (None,), _build_rho15),
-        CaseRecord("rho16", (16, 6, 1), "U+D6^2+A1^2", "", (None,), _build_rho16),
-        CaseRecord("rho17", (17, 5, 1), "U+D6+D8+A1", "", (None,), _build_rho17),
-        CaseRecord("rho18-delta0", (18, 4, 0), "U+D4+D12", "", (None,), _build_rho18_delta0),
-        CaseRecord("rho18-delta1", (18, 4, 1), "U+D14+A1^2", "", (None,), _build_rho18_delta1),
-        CaseRecord("rho19", (19, 3, 1), "U+D16+A1", "", (None,), _build_rho19),
-        CaseRecord("rho20", (20, 2, 1), "U+E8+D10", "", (None,), _build_rho20),
-        CaseRecord("singular-k3", None, None, "variant", ("none", "I2", "III"),
+        CaseRecord("rho11", (11, 11, 1), "U(2)+A1^9", (0, 1, 2), _build_rho11),
+        CaseRecord("rho12", (12, 10, 1), "U+A1^10", (None,), _build_rho12),
+        CaseRecord("rho13", (13, 9, 1), "U+D4+A1^7", (None,), _build_rho13),
+        CaseRecord("rho14", (14, 8, 1), "U+D4^2+A1^4", (None,), _build_rho14),
+        CaseRecord("rho15", (15, 7, 1), "U+D4^3+A1", (None,), _build_rho15),
+        CaseRecord("rho16", (16, 6, 1), "U+D6^2+A1^2", (None,), _build_rho16),
+        CaseRecord("rho17", (17, 5, 1), "U+D6+D8+A1", (None,), _build_rho17),
+        CaseRecord("rho18-delta0", (18, 4, 0), "U+D4+D12", (None,), _build_rho18_delta0),
+        CaseRecord("rho18-delta1", (18, 4, 1), "U+D14+A1^2", (None,), _build_rho18_delta1),
+        CaseRecord("rho19", (19, 3, 1), "U+D16+A1", (None,), _build_rho19),
+        CaseRecord("rho20", (20, 2, 1), "U+E8+D10", (None,), _build_rho20),
+        CaseRecord("singular-k3", None, None, ("none", "I2", "III"),
                    _build_singular_k3),
     ]
 
@@ -616,7 +615,7 @@ def get_case(case_id):
     for rec in builtin_cases():
         if rec.case_id == case_id:
             return rec
-    raise KeyError(f"no case {case_id!r}")
+    raise K3CertError(f"no case {case_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +625,7 @@ def get_case(case_id):
 class CaseReport:
     case_id: str
     param: object
-    checks: tuple        # (name, status, detail) with status PASS|FAIL
+    checks: tuple        # of Check
     status: str          # PASS|FAIL
 
     def to_dict(self):
@@ -639,65 +638,45 @@ class CaseReport:
         }
 
 
-def _evidence_for_plan(inst, e):
-    """Run the record's Mordell-Weil plan against one fiber candidate."""
-    plan = inst.mw_plan
-    cfg = inst.cfg
-    if plan[0] == "lemma54":
-        return lemma54_check(e, cfg, inst.fixed_curves, inst.rho)
-    kind, zero, sec, incidence = plan
-    fiber = classify_fiber(cfg, e.support(cfg))
-    model = FibrationModel(
-        rho=inst.rho, fiber_class=e, zero_section=zero,
-        sections=(zero, sec),
-        reducible_fibers=(FiberInModel(fiber, dict(incidence)),), cfg=cfg)
-    model.validate(cfg)
-    if kind == "height-positive":
-        h = height_pairing(model, cfg, sec)
-        if h > 0:
-            return MWEvidence("height-positive", f"<P,P> = {h}", {"height": h})
-        return EvidenceFailure("height-positive", f"<P,P> = {h} is not positive")
-    if kind == "additive-same-component":
-        if not fiber.kind.endswith("*"):
-            return EvidenceFailure(
-                "additive-same-component", f"fiber {fiber.kind} is not additive")
-        cz, cp = incidence[zero], incidence[sec]
-        if cz == cp:
-            return MWEvidence(
-                "additive-same-component",
-                f"{sec} and {zero} meet the same component {cz} of the "
-                f"{fiber.kind} fiber",
-                {"component": cz, "kind": fiber.kind})
-        return EvidenceFailure(
-            "additive-same-component",
-            f"{zero} meets {cz} but {sec} meets {cp}")
-    raise ValueError(f"unknown evidence plan {kind!r}")
+def _candidate(inst, e):
+    """Classify Supp E once; the fiber-class verdict and the
+    Mordell-Weil evidence both read that one classification, and the
+    evidence is only sought on a certified fiber class."""
+    classified = classify_support(inst.cfg, e)
+    verdict = fiber_class_verdict(e, inst.cfg, classified)
+    ok, fiber, diag = verdict
+    if not ok:
+        ev = EvidenceFailure("evidence-plan", f"not a fiber class: {diag}")
+    else:
+        try:
+            ev = mw_evidence(inst.mw_plan, e, fiber, inst.cfg, inst.fixed_curves, inst.rho)
+        except K3CertError as exc:
+            ev = EvidenceFailure("evidence-plan", str(exc))
+    return classified, verdict, ev
 
 
 def verify_case(inst):
     """Replay every check of one case instance and aggregate a report."""
     checks = []
-
-    def add(name, ok, detail):
-        checks.append((name, "PASS" if ok else "FAIL", detail))
-
     cfg = inst.cfg
 
     # 1. lattice invariants
     if inst.ns_expr is None:
-        add("lattice-invariants", True,
-            "skipped: NS contains an opaque summand (rho = %d declared)" % inst.rho)
+        checks.append(Check(
+            "lattice-invariants", "PASS",
+            "skipped: NS contains an opaque summand (rho = %d declared)" % inst.rho))
     else:
         try:
             inv = two_elementary_invariants(gram_of(inst.ns_expr))
             got = (inv.rank, inv.a, inv.delta)
             kk = fixed_locus_component_count(inv.rank, inv.a)
             ok = got == inst.triple and kk == inst.k and inv.rank == inst.rho
-            add("lattice-invariants", ok,
+            checks.append(Check.of(
+                "lattice-invariants", ok,
                 f"{inst.ns_expr}: (rank,a,delta) = {got}, k = {kk}; "
-                f"expected {inst.triple}, k = {inst.k}")
+                f"expected {inst.triple}, k = {inst.k}"))
         except ValueError as exc:
-            add("lattice-invariants", False, str(exc))
+            checks.append(Check("lattice-invariants", "FAIL", str(exc)))
 
     # 2. classify the declared reducible fibers of phi, collecting the
     # fiber classes for the theta validator
@@ -706,56 +685,50 @@ def verify_case(inst):
         try:
             fiber = classify_fiber(cfg, support)
         except FiberError as exc:
-            add(f"phi-fiber-{label}", False, str(exc))
+            checks.append(Check(f"phi-fiber-{label}", "FAIL", str(exc)))
             continue
         ok = kinds_compatible(expected, fiber.kind)
-        add(f"phi-fiber-{label}", ok,
-            f"classified {fiber.kind}, declared {expected}")
+        checks.append(Check.of(f"phi-fiber-{label}", ok,
+                               f"classified {fiber.kind}, declared {expected}"))
         if ok:
             phi_classes.append((label, _div(cfg, fiber.multiplicities)))
 
     # 3. theta constraints (fixed locus vs configuration)
     if inst.fixed_curves:
         problems = theta_constraints(cfg, inst.fixed_curves, phi_classes)
-        add("theta-constraints",
-            not problems,
+        checks.append(Check.of(
+            "theta-constraints", not problems,
             "C_i.C_j = 0, C.H = 2, C.F = 4 all hold" if not problems
-            else "; ".join(problems))
+            else "; ".join(problems)))
     else:
-        add("theta-constraints", True, "skipped: no fixed-curve list declared")
+        checks.append(Check("theta-constraints", "PASS",
+                            "skipped: no fixed-curve list declared"))
 
     # 4. Shioda-Tate rank of phi, when the record asserts one
     if inst.phi_rank_expected is not None:
         counts = [len(support) for _, _, support in inst.phi_fibers]
         try:
             rank = shioda_tate_rank(inst.rho, counts)
-            add("shioda-tate", rank == inst.phi_rank_expected,
+            checks.append(Check.of(
+                "shioda-tate", rank == inst.phi_rank_expected,
                 f"rank = {rank}, expected {inst.phi_rank_expected} "
-                "(declared fiber list assumed complete)")
+                "(declared fiber list assumed complete)"))
         except ValueError as exc:
-            add("shioda-tate", False, str(exc))
+            checks.append(Check("shioda-tate", "FAIL", str(exc)))
 
-    # 5. Mordell-Weil evidence per E_i, then the full certificate
-    try:
-        ev1 = _evidence_for_plan(inst, inst.e1)
-        ev2 = _evidence_for_plan(inst, inst.e2)
-    except (FiberError, EvidenceError, ValueError) as exc:
-        ev1 = ev2 = EvidenceFailure("evidence-plan", str(exc))
-    verdict = cor32_verify(inst.dec1, inst.dec2, ev1, ev2, cfg,
-                           witness=inst.witness)
-    for name, ok, detail in verdict.checks:
-        add(name, ok, detail)
+    # 5. the full certificate, then the expected Kodaira kind of each
+    # candidate, all from one classification per candidate
+    (c1, v1, ev1), (c2, v2, ev2) = (_candidate(inst, d.e) for d in (inst.dec1, inst.dec2))
+    checks.extend(cor32_verify(inst.dec1, inst.dec2, ev1, ev2, cfg,
+                               witness=inst.witness, fiber_verdicts=(v1, v2)))
+    for i, (fiber, refusal) in ((1, c1), (2, c2)):
+        if fiber is None:
+            checks.append(Check(f"e{i}-kind", "FAIL", refusal))
+        else:
+            checks.append(Check.of(f"e{i}-kind", kinds_compatible(inst.e_kind, fiber.kind),
+                                   f"classified {fiber.kind}, declared {inst.e_kind}"))
 
-    # expected Kodaira kind of the candidates (cor32 already classified)
-    for i, e in ((1, inst.e1), (2, inst.e2)):
-        try:
-            fiber = classify_fiber(cfg, e.support(cfg))
-            add(f"e{i}-kind", kinds_compatible(inst.e_kind, fiber.kind),
-                f"classified {fiber.kind}, declared {inst.e_kind}")
-        except FiberError as exc:
-            add(f"e{i}-kind", False, str(exc))
-
-    status = "PASS" if all(s == "PASS" for _, s, _ in checks) else "FAIL"
+    status = "PASS" if all(c.status == "PASS" for c in checks) else "FAIL"
     return CaseReport(inst.case_id, inst.param, tuple(checks), status)
 
 
@@ -844,8 +817,9 @@ def _mut_drop_component(inst):
 
 def _mut_swap_incidence(inst):
     # rho20: pretend the candidate section meets C6 instead of C3
-    plan = ("additive-same-component", "G23", "G34", {"G23": "C3", "G34": "C6"})
-    return replace(inst, mw_plan=plan)
+    plan = inst.mw_plan
+    return replace(inst, mw_plan=replace(
+        plan, incidence={**plan.incidence, plan.section: "C6"}))
 
 
 def _mut_lower_rho(inst):

@@ -231,9 +231,19 @@ def _arm_lengths(adj, center):
     return lengths
 
 
-def is_fiber_class(d, cfg):
+def classify_support(cfg, d):
+    """The one classification of Supp d: (KodairaFiber, "") or, when
+    classify_fiber refuses the support, (None, its reason)."""
+    try:
+        return classify_fiber(cfg, d.support(cfg)), ""
+    except FiberError as exc:
+        return None, str(exc)
+
+
+def is_fiber_class(d, cfg, classified=None):
     """Check that an effective divisor is a primitive fiber class.
 
+    classified is classify_support(cfg, d) when the caller has it.
     Returns (ok, fiber_or_None, diagnostics).
     """
     if not d.is_effective():
@@ -244,10 +254,9 @@ def is_fiber_class(d, cfg):
     sq = pairing(d, d, cfg)
     if sq != 0:
         return False, None, f"self-intersection {sq} != 0"
-    try:
-        fiber = classify_fiber(cfg, supp)
-    except FiberError as e:
-        return False, None, str(e)
+    fiber, refusal = classify_support(cfg, d) if classified is None else classified
+    if fiber is None:
+        return False, None, refusal
     for name in supp:
         if d.coeffs[cfg.index(name)] != fiber.multiplicities[name]:
             return False, fiber, (
@@ -256,24 +265,13 @@ def is_fiber_class(d, cfg):
     return True, fiber, f"fiber of type {fiber.kind}"
 
 
-def component_group(fiber):
-    """Component group of the smooth locus, as a list of cyclic orders."""
-    kind = fiber.kind
-    if kind == "I2/III":
-        return [2]
-    if kind == "II*":
-        return []
-    if kind == "III*":
-        return [2]
-    if kind == "IV*":
-        return [3]
-    if kind.endswith("*"):
-        b = int(kind[1:-1])
-        return [4] if b % 2 else [2, 2]
-    if kind.startswith("I"):
-        n = int(kind[1:])
-        return [n]
-    raise ValueError(f"unclassified fiber kind {kind!r}")
+def fiber_class_verdict(d, cfg, classified=None):
+    """is_fiber_class, with a divisor that is not effective reported as
+    (False, None, reason) instead of raised."""
+    try:
+        return is_fiber_class(d, cfg, classified)
+    except FiberError as exc:
+        return False, None, str(exc)
 
 
 def kinds_compatible(expected, actual):

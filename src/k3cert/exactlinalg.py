@@ -69,13 +69,6 @@ def transpose(m):
     return [[m[i][j] for i in range(r)] for j in range(c)]
 
 
-def mat_vec(m, v):
-    r, c = dims(m)
-    if len(v) != c:
-        raise ValueError("dimension mismatch in mat_vec")
-    return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
 def det_exact(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     r, c = dims(m)
@@ -379,26 +372,6 @@ def kernel_basis(m):
     return basis
 
 
-def adjugate_inverse(m):
-    """Exact inverse of a unimodular-or-not integer matrix.
-
-    Returns (adjugate, det); inverse = adjugate / det.
-    """
-    r, c = dims(m)
-    if r != c:
-        raise NonSquareError("inverse needs a square matrix")
-    n = r
-    d = det_exact(m)
-    if d == 0:
-        raise ValueError("singular matrix")
-    adj = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
-            adj[j][i] = (-1) ** (i + j) * det_exact(minor)
-    return adj, d
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials, ascending-degree coefficient lists.
 
@@ -417,13 +390,6 @@ def poly_mul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_divmod_exact(p, q):

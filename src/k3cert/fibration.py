@@ -1,6 +1,6 @@
 """Elliptic-fibration arithmetic: Shioda-Tate rank, Mordell-Weil
-positivity criteria, the height pairing and the two-fibration
-inertia-group certificate.
+positivity evidence by a typed plan, the height pairing and the
+two-fibration inertia-group certificate.
 
 The local height contributions are the standard table for each Kodaira
 type; they ship as data together with self-consistency checks in the
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .curves import DivisorClass, FiberError, is_fiber_class, pairing
+from .curves import DivisorClass, FiberError, fiber_class_verdict, is_fiber_class, pairing
 from .errors import K3CertError
 
 
@@ -22,7 +23,7 @@ class EvidenceError(K3CertError):
 
 @dataclass(frozen=True)
 class MWEvidence:
-    kind: str   # shioda-tate | lemma54-case1 | lemma54-case2 | height-positive | additive-same-component
+    kind: str   # lemma54-case1 | lemma54-case2 | height-positive | additive-same-component
     detail: str = ""
     data: dict = field(default_factory=dict, compare=False)
 
@@ -49,7 +50,6 @@ class FibrationModel:
     zero_section: str
     sections: tuple
     reducible_fibers: tuple          # of FiberInModel
-    cfg: object = None               # CurveConfig, when sections are named curves
 
     def validate(self, cfg):
         if self.zero_section not in self.sections:
@@ -83,9 +83,15 @@ def lemma54_check(e, cfg, fixed_curves, rho):
     orthogonal to E, and r < rho - 2.
     Returns MWEvidence or EvidenceFailure naming the violated clause.
     """
-    ok, fiber, diag = is_fiber_class(e, cfg)
+    ok, _, diag = is_fiber_class(e, cfg)
     if not ok:
         raise FiberError(f"not a fiber class: {diag}")
+    return _lemma54_clauses(e, cfg, fixed_curves, rho)
+
+
+def _lemma54_clauses(e, cfg, fixed_curves, rho):
+    """lemma54_check's two cases, for an e already certified as a fiber
+    class."""
     supp = set(e.support(cfg))
     k = len(fixed_curves)
     inside = [c for c in fixed_curves if c in supp]
@@ -159,8 +165,9 @@ def _star_leaf_sides(fiber, cfg):
     return sides
 
 
-def _local_contribution(fim, cfg, p, q):
-    """contr_v(P, Q) for one reducible fiber; p and q are section names.
+def _local_contribution(fim, zero, cfg, p, q):
+    """contr_v(P, Q) for one reducible fiber; zero, p and q are section
+    names.
 
     Sections must sit on multiplicity-1 components.  The zero section's
     component is the identity component.
@@ -175,7 +182,7 @@ def _local_contribution(fim, cfg, p, q):
             raise EvidenceError(
                 f"section {s} meets component {comp} of multiplicity "
                 f"{fiber.multiplicities.get(comp)}, sections meet multiplicity-1 components")
-    zero_comp = fim.section_meets[fim.zero_name]
+    zero_comp = fim.section_meets[zero]
     cp = fim.section_meets[p]
     cq = fim.section_meets[q]
     if cp == zero_comp or cq == zero_comp:
@@ -231,45 +238,67 @@ def height_pairing(model, cfg, p, q=None):
     do = DivisorClass.from_dict(cfg, {model.zero_section: 1})
     total = Fraction(2) + pairing(dp, do, cfg) + pairing(dq, do, cfg) - pairing(dp, dq, cfg)
     for fim in model.reducible_fibers:
-        total -= _local_contribution(_WithZero(fim, model.zero_section), cfg, p, q)
+        total -= _local_contribution(fim, model.zero_section, cfg, p, q)
     return total
 
 
-class _WithZero:
-    """FiberInModel plus the fibration's zero section name."""
+@dataclass(frozen=True)
+class MWPlan:
+    """How a case certifies Mordell-Weil positivity on each |E_i|.
 
-    def __init__(self, fim, zero_name):
-        self.fiber = fim.fiber
-        self.section_meets = fim.section_meets
-        self.zero_name = zero_name
-
-
-def infinite_order_certificate(model, cfg, p):
-    """Evidence that section P has infinite order in the Mordell-Weil group.
-
-    Positive height certifies it outright.  Failing that, at an additive
-    fiber a torsion section and the zero section map into the component
-    group injectively, so P and O meeting the SAME component of an
-    additive fiber certifies non-torsion for P != O.
+    kind "lemma54" reads the fixed curves and names no sections.  The
+    section plans name the zero section O, a section P != O and the
+    component of E_i each one meets: "height-positive" asks <P,P> > 0,
+    "additive-same-component" asks that P and O meet one component of
+    an additive fiber, which a torsion section P != O never does (a
+    torsion section and O map into the component group injectively).
     """
-    if p == model.zero_section:
-        raise EvidenceError("P must differ from the zero section")
-    h = height_pairing(model, cfg, p)
-    if h > 0:
-        return MWEvidence("height-positive", f"<P,P> = {h}", {"height": h})
-    for fim in model.reducible_fibers:
-        kind = fim.fiber.kind
-        additive = kind.endswith("*")
-        if additive and p in fim.section_meets and model.zero_section in fim.section_meets:
-            if fim.section_meets[p] == fim.section_meets[model.zero_section]:
-                return MWEvidence(
-                    "additive-same-component",
-                    f"P and O meet component {fim.section_meets[p]} of the {kind} fiber",
-                    {"component": fim.section_meets[p], "kind": kind})
+    kind: str
+    zero: str | None = None
+    section: str | None = None
+    incidence: dict = field(default_factory=dict)   # section name -> component name
+
+    def __post_init__(self):
+        if self.kind == "lemma54":
+            return
+        if self.kind not in ("height-positive", "additive-same-component"):
+            raise EvidenceError(f"unknown evidence plan {self.kind!r}")
+        if self.section == self.zero:
+            raise EvidenceError("P must differ from the zero section")
+
+
+def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
+    """Mordell-Weil positivity on the fibration |E| by the given plan.
+
+    e must already be certified as a fiber class, of Kodaira type fiber.
+    Returns MWEvidence, or EvidenceFailure naming the unmet clause;
+    raises EvidenceError when the plan's sections do not fit |E|.
+    """
+    if plan.kind == "lemma54":
+        return _lemma54_clauses(e, cfg, fixed_curves, rho)
+    model = FibrationModel(
+        rho=rho, fiber_class=e, zero_section=plan.zero,
+        sections=(plan.zero, plan.section),
+        reducible_fibers=(FiberInModel(fiber, dict(plan.incidence)),))
+    model.validate(cfg)
+    if plan.kind == "height-positive":
+        h = height_pairing(model, cfg, plan.section)
+        if h > 0:
+            return MWEvidence("height-positive", f"<P,P> = {h}", {"height": h})
+        return EvidenceFailure("height-positive", f"<P,P> = {h} is not positive")
+    if not fiber.kind.endswith("*"):
+        return EvidenceFailure(
+            "additive-same-component", f"fiber {fiber.kind} is not additive")
+    cz, cp = plan.incidence[plan.zero], plan.incidence[plan.section]
+    if cz == cp:
+        return MWEvidence(
+            "additive-same-component",
+            f"{plan.section} and {plan.zero} meet the same component {cz} of the "
+            f"{fiber.kind} fiber",
+            {"component": cz, "kind": fiber.kind})
     return EvidenceFailure(
-        "infinite-order",
-        f"height <P,P> = {h} is not positive and no additive fiber has P, O "
-        "on the same component")
+        "additive-same-component",
+        f"{plan.zero} meets {cz} but {plan.section} meets {cp}")
 
 
 @dataclass(frozen=True)
@@ -307,70 +336,75 @@ class TriplePointWitness:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Cor32Verdict:
-    passed: bool
-    checks: tuple   # (name, ok, detail)
+class Check(NamedTuple):
+    """One row of a verification report: the check's name, "PASS" or
+    "FAIL", and the detail behind the verdict."""
+    name: str
+    status: str
+    detail: str
+
+    @classmethod
+    def of(cls, name, ok, detail):
+        return cls(name, "PASS" if ok else "FAIL", detail)
 
 
-def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None):
+def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
     """Verify the two-fibration certificate for a positive-entropy
-    inertia group element.
+    inertia group element; returns a tuple of Check.
 
     Checks: both E_i are fiber classes; the Mordell-Weil evidence items
     are valid; E1.E2 > 0 (two isotropic classes are proportional only if
     their product vanishes); the pivot differs from R1, R2; and the
-    common-point condition on C, R1, R2.
+    common-point condition on C, R1, R2.  fiber_verdicts holds the
+    fiber_class_verdict of E1 and E2 when the caller already has them.
     """
     checks = []
-
-    def add(name, ok, detail):
-        checks.append((name, bool(ok), detail))
-
     for i, dec in enumerate((dec1, dec2), 1):
         try:
             dec.check_shape(cfg)
-            add(f"decomposition-E{i}", True, "E = D + a*R + b*C with a,b > 0")
+            checks.append(Check(f"decomposition-E{i}", "PASS",
+                                "E = D + a*R + b*C with a,b > 0"))
         except EvidenceError as exc:
-            add(f"decomposition-E{i}", False, str(exc))
+            checks.append(Check(f"decomposition-E{i}", "FAIL", str(exc)))
     if dec1.c_curve != dec2.c_curve:
-        add("same-pivot", False, "the two decompositions name different pivot curves")
+        checks.append(Check("same-pivot", "FAIL",
+                            "the two decompositions name different pivot curves"))
     else:
-        add("same-pivot", True, f"both decompositions pivot on {dec1.c_curve}")
-    for i, dec in enumerate((dec1, dec2), 1):
-        try:
-            ok, fiber, diag = is_fiber_class(dec.e, cfg)
-        except FiberError as exc:
-            ok, fiber, diag = False, None, str(exc)
-        add(f"fiber-class-E{i}", ok, diag)
+        checks.append(Check("same-pivot", "PASS",
+                            f"both decompositions pivot on {dec1.c_curve}"))
+    if fiber_verdicts is None:
+        fiber_verdicts = [fiber_class_verdict(dec.e, cfg) for dec in (dec1, dec2)]
+    for i, (ok, _, diag) in enumerate(fiber_verdicts, 1):
+        checks.append(Check.of(f"fiber-class-E{i}", ok, diag))
     for i, ev in enumerate((ev1, ev2), 1):
         if isinstance(ev, MWEvidence):
-            add(f"mw-evidence-E{i}", True, f"{ev.kind}: {ev.detail}")
+            checks.append(Check(f"mw-evidence-E{i}", "PASS", f"{ev.kind}: {ev.detail}"))
         else:
-            add(f"mw-evidence-E{i}", False, f"{ev.clause}: {ev.detail}")
+            checks.append(Check(f"mw-evidence-E{i}", "FAIL", f"{ev.clause}: {ev.detail}"))
     prod = pairing(dec1.e, dec2.e, cfg)
-    add("non-proportional", prod > 0, f"E1.E2 = {prod}")
+    checks.append(Check.of("non-proportional", prod > 0, f"E1.E2 = {prod}"))
     c = dec1.c_curve
     r1, r2 = dec1.r_curve, dec2.r_curve
-    add("pivot-distinct", c != r1 and c != r2, f"C={c}, R1={r1}, R2={r2}")
+    checks.append(Check.of("pivot-distinct", c != r1 and c != r2,
+                           f"C={c}, R1={r1}, R2={r2}"))
     dc = DivisorClass.from_dict(cfg, {c: 1})
     if r1 == r2:
         v = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
-        add("common-point", v > 0, f"R1 = R2 and C.R1 = {v}")
+        checks.append(Check.of("common-point", v > 0, f"R1 = R2 and C.R1 = {v}"))
+    elif witness is None:
+        checks.append(Check("common-point", "FAIL",
+                            "R1 != R2 but no triple-point witness declared"))
     else:
-        if witness is None:
-            add("common-point", False, "R1 != R2 but no triple-point witness declared")
+        cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
+        cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
+        if witness.kind == "fixed-pivot":
+            checks.append(Check.of(
+                "common-point", cr1 > 0 and cr2 > 0,
+                f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
         else:
-            cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
-            cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-            if witness.kind == "fixed-pivot":
-                ok = cr1 > 0 and cr2 > 0
-                add("common-point", ok,
-                    f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})")
-            else:
-                rr = pairing(DivisorClass.from_dict(cfg, {r1: 1}),
-                             DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-                ok = cr1 > 0 and cr2 > 0 and rr > 0
-                add("common-point", ok,
-                    f"declared witness: C.R1 = {cr1}, C.R2 = {cr2}, R1.R2 = {rr}")
-    return Cor32Verdict(all(ok for _, ok, _ in checks), tuple(checks))
+            rr = pairing(DivisorClass.from_dict(cfg, {r1: 1}),
+                         DivisorClass.from_dict(cfg, {r2: 1}), cfg)
+            checks.append(Check.of(
+                "common-point", cr1 > 0 and cr2 > 0 and rr > 0,
+                f"declared witness: C.R1 = {cr1}, C.R2 = {cr2}, R1.R2 = {rr}"))
+    return tuple(checks)

@@ -142,7 +142,7 @@ def parse_config_text(text):
             fims.append(FiberInModel(fiber, incidence))
         model = FibrationModel(
             rho=rho, fiber_class=divisors[flabel], zero_section=zero,
-            sections=tuple(sections), reducible_fibers=tuple(fims), cfg=cfg)
+            sections=tuple(sections), reducible_fibers=tuple(fims))
     return ParsedConfig(cfg, divisors, model)
 
 
@@ -204,11 +204,11 @@ def dump_case(inst):
         extra.append("# fixed curves: " + " ".join(inst.fixed_curves))
     for label, kind, support in inst.phi_fibers:
         extra.append(f"# phi fiber {label} ({kind}): " + " ".join(support))
-    if inst.mw_plan[0] != "lemma54":
-        kind, zero, sec, incidence = inst.mw_plan
-        extra.append(f"fibration: fiber=E1 zero={zero} rho={inst.rho}")
-        extra.append(f"sections: {zero} {sec}")
-        pairs = " ".join(f"{s}={c}" for s, c in sorted(incidence.items()))
+    plan = inst.mw_plan
+    if plan.kind != "lemma54":
+        extra.append(f"fibration: fiber=E1 zero={plan.zero} rho={inst.rho}")
+        extra.append(f"sections: {plan.zero} {plan.section}")
+        pairs = " ".join(f"{s}={c}" for s, c in sorted(plan.incidence.items()))
         extra.append(f"rfiber E1: {pairs}")
     if extra:
         text += "\n".join(extra) + "\n"

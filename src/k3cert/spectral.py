@@ -223,11 +223,6 @@ def _reflect(p):
     return [-c if k % 2 else c for k, c in enumerate(p)]
 
 
-def has_root_above_one(p):
-    """Exact: does p have a real root in (1, bound]?"""
-    return count_real_roots(p, 1, root_bound(p)) > 0
-
-
 # ---------------------------------------------------------------------------
 # Squarefree parts and the Salem certificate
 
@@ -337,7 +332,8 @@ class EntropyReport:
     as Salem, which happens exactly when two or more pairs of real
     eigenvalues lie off the unit circle or when the one pair off it is
     negative; the radius, the largest |eigenvalue|, is still certified
-    then.  Non-real eigenvalues off the unit circle raise K3CertError.
+    then, and no_salem_reason says which case it is.  Non-real
+    eigenvalues off the unit circle raise K3CertError.
     """
     spectral_radius: float       # float(lo) == float(hi), the rounded root
     radius_interval: tuple       # (Fraction lo, Fraction hi), certified
@@ -345,6 +341,7 @@ class EntropyReport:
     dynamical_class: str         # elliptic | parabolic | hyperbolic
     salem_factor: list | None
     order: int | None            # finite order for elliptic maps
+    no_salem_reason: str | None = None
 
 
 def entropy(m, g, tol=Fraction(1, 10**10)):
@@ -375,11 +372,15 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
         s = squarefree_part(rest)
         factor = salem_factor(s)
         radius_poly = s
+        reason = None
         if factor is None:
             below, inside, above = _trace_root_counts(s)
             if below + inside + above < len(s) // 2:
                 raise K3CertError("eigenvalues off the unit circle are not real: "
                                   "spectral radius not certified")
+            # with no eigenvalue above 1, the radius belongs to one below -1
+            reason = ("more than one pair of eigenvalues off the unit circle" if above
+                      else "the spectral radius is a negative eigenvalue")
             if below:
                 # the radius may sit at a negative eigenvalue; the largest
                 # root of s(x) s(-x) is the largest |real root| of s
@@ -392,7 +393,8 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
             entropy=math.log(radius),
             dynamical_class="hyperbolic",
             salem_factor=factor,
-            order=None)
+            order=None,
+            no_salem_reason=reason)
     order = 1
     for k in orders:
         order = order * k // math.gcd(order, k)

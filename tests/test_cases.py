@@ -161,6 +161,37 @@ def test_mutation_kit_flips_exactly_the_intended_check():
         assert flipped, (mut.mutation_id, rep.checks)
 
 
+def test_evidence_is_sought_per_candidate_on_certified_fiber_classes():
+    # a broken E1 neither hides E2's evidence nor gets evidence of its own
+    reports = {m.mutation_id: run_mutation(m)[0] for m in mutation_kit()}
+    drop = {n: (s, d) for n, s, d in reports["drop-component"].checks}
+    assert drop["mw-evidence-E1"] == (
+        "FAIL", "evidence-plan: not a fiber class: self-intersection -2 != 0")
+    assert drop["mw-evidence-E2"] == (
+        "PASS", "lemma54-case1: all 3 fixed curves in Supp E, r=6 < rho-1=12")
+    corrupt = {n: (s, d) for n, s, d in reports["corrupt-multiplicity"].checks}
+    assert corrupt["mw-evidence-E1"] == (
+        "FAIL", "evidence-plan: not a fiber class: self-intersection -2 != 0")
+    assert corrupt["mw-evidence-E2"][0] == "PASS"
+
+
+def test_verify_all_classifies_each_candidate_once(monkeypatch):
+    # 52 phi fibers plus one classification per E_i on the 16 rows
+    from k3cert import cli, curves, fibration, fileio
+    import k3cert.cases as cases_mod
+    calls = []
+    original = curves.classify_fiber
+
+    def counted(cfg, support):
+        calls.append(tuple(support))
+        return original(cfg, support)
+    for mod in (curves, cases_mod, fibration, fileio, cli):
+        if getattr(mod, "classify_fiber", None) is original:
+            monkeypatch.setattr(mod, "classify_fiber", counted)
+    reports = verify_all()
+    assert len(calls) == 52 + 2 * len(reports) == 84
+
+
 def test_theta_constraints_hold_for_all_records():
     from k3cert.curves import DivisorClass, theta_constraints
     for rec in builtin_cases():

@@ -9,7 +9,6 @@ from k3cert.curves import (
     DivisorClass,
     FiberError,
     classify_fiber,
-    component_group,
     is_fiber_class,
     kinds_compatible,
     make_config,
@@ -145,19 +144,26 @@ def test_is_fiber_class():
     assert not ok3 and "-2" in diag3
 
 
-def test_component_groups():
-    assert component_group(_fiber("I6")) == [6]
-    assert component_group(_fiber("I2/III")) == [2]
-    assert component_group(_fiber("II*")) == []
-    assert component_group(_fiber("III*")) == [2]
-    assert component_group(_fiber("IV*")) == [3]
-    assert component_group(_fiber("I6*")) == [2, 2]
-    assert component_group(_fiber("I7*")) == [4]
-
-
-def _fiber(kind):
-    from k3cert.curves import KodairaFiber
-    return KodairaFiber(kind, {})
+def _affine_diagram(kind):
+    """A configuration whose curves form the dual graph of a fiber of
+    the given Kodaira kind."""
+    arms = {"II*": (1, 2, 5), "III*": (1, 3, 3), "IV*": (2, 2, 2)}.get(kind)
+    if arms:
+        # three arms from one center
+        names, meets = ["c"], []
+        for k, length in enumerate(arms):
+            arm = [f"x{k}_{j}" for j in range(length)]
+            meets += [(a, b, 1) for a, b in zip(["c"] + arm, arm)]
+            names += arm
+        return make_config(names, meets)
+    if kind.endswith("*"):
+        # I_b*: a chain of b + 1 double curves with two leaves at each end
+        chain = [f"m{i}" for i in range(int(kind[1:-1]) + 1)]
+        meets = [(a, b, 1) for a, b in zip(chain, chain[1:])]
+        meets += [("p1", chain[0], 1), ("p2", chain[0], 1),
+                  ("q1", chain[-1], 1), ("q2", chain[-1], 1)]
+        return make_config(chain + ["p1", "p2", "q1", "q2"], meets)
+    return cycle_config(int(kind[1:]))[0]
 
 
 @pytest.mark.parametrize("kind,root", [
@@ -165,9 +171,12 @@ def _fiber(kind):
     ("IV*", "E6"), ("I0*", "D4"), ("I2*", "D6"), ("I12*", "D16"),
 ])
 def test_component_group_order_matches_root_discriminant(kind, root):
-    order = 1
-    for d in component_group(_fiber(kind)):
-        order *= d
+    # the component group of the smooth locus has one element per
+    # multiplicity-1 component, and its order is |det| of the root lattice
+    cfg = _affine_diagram(kind)
+    fiber = classify_fiber(cfg, cfg.curve_names)
+    assert fiber.kind == kind
+    order = sum(1 for m in fiber.multiplicities.values() if m == 1)
     disc = 1
     for d in discriminant_group(gram_of(root)):
         disc *= d

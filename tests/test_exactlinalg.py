@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from k3cert.exactlinalg import (
     NonSquareError,
     NonSymmetricError,
-    adjugate_inverse,
     char_poly,
     det_exact,
     elementary_divisors,
@@ -24,9 +23,7 @@ from k3cert.exactlinalg import (
     inertia,
     kernel_basis,
     mat_mul,
-    mat_vec,
     poly_divmod_exact,
-    poly_eval,
     poly_mul,
     poly_pseudo_remainder,
     smith_normal_form,
@@ -262,7 +259,7 @@ def test_char_poly_constant_term_is_det():
 
 
 # ---------------------------------------------------------------------------
-# kernel, adjugate, polynomial helpers
+# kernel and polynomial helpers
 
 def test_kernel_basis_annihilates():
     rng = random.Random(108)
@@ -271,26 +268,12 @@ def test_kernel_basis_annihilates():
         c = rng.randint(1, 5)
         m = random_matrix(rng, r, c)
         for v in kernel_basis(m):
-            assert mat_vec(m, v) == [0] * r
+            assert mat_mul(m, [[x] for x in v]) == [[0]] * r
             from math import gcd
             g = 0
             for x in v:
                 g = gcd(g, x)
             assert g == 1
-
-
-def test_adjugate_inverse():
-    rng = random.Random(109)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n)
-        if det_exact(m) == 0:
-            continue
-        adj, d = adjugate_inverse(m)
-        prod = mat_mul(m, adj)
-        assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        done += 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,8 +334,13 @@ def test_tuple_of_tuples_matrices():
 @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5),
        st.integers(-4, 4))
 def test_poly_eval_mul_compatible(p, x):
+    def horner(c, x):
+        acc = 0
+        for a in reversed(c):
+            acc = acc * x + a
+        return acc
     q = [1, 2, 1]
-    assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
+    assert horner(poly_mul(p, q), x) == horner(p, x) * horner(q, x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ import pytest
 
 from k3cert.curves import DivisorClass, classify_fiber, make_config
 from k3cert.fibration import (
+    Check,
     Decomposition,
     EvidenceError,
     EvidenceFailure,
     FiberInModel,
     FibrationModel,
     MWEvidence,
+    MWPlan,
     TriplePointWitness,
     cor32_verify,
     height_pairing,
-    infinite_order_certificate,
     lemma54_check,
+    mw_evidence,
     shioda_tate_rank,
 )
 
@@ -209,18 +211,40 @@ def test_contribution_table_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# infinite order certificates
+# infinite order certificates: the section plans of mw_evidence
+
+def _six_cycle_with_sections(p_component):
+    # O and P each meet one component of an I6 fiber E
+    names = [f"c{i}" for i in range(6)]
+    cfg = make_config(["O", "P"] + names,
+                      [(a, b, 1) for a, b in zip(names, names[1:] + names[:1])]
+                      + [("O", "c0", 1), ("P", p_component, 1)])
+    e = DivisorClass.from_dict(cfg, {n: 1 for n in names})
+    return cfg, e, classify_fiber(cfg, names)
+
 
 def test_infinite_order_height_route():
-    model, cfg = _two_section_model()
-    ev = infinite_order_certificate(model, cfg, "P")
+    cfg, e, fiber = _six_cycle_with_sections("c2")
+    plan = MWPlan("height-positive", "O", "P", {"O": "c0", "P": "c2"})
+    ev = mw_evidence(plan, e, fiber, cfg, (), 10)
     assert isinstance(ev, MWEvidence) and ev.kind == "height-positive"
+    assert ev.data["height"] == Fraction(8, 3)
+    # the additive argument does not apply to the multiplicative I6
+    plan = MWPlan("additive-same-component", "O", "P", {"O": "c0", "P": "c0"})
+    ev = mw_evidence(plan, e, fiber, cfg, (), 10)
+    assert ev == EvidenceFailure("additive-same-component", "fiber I6 is not additive")
 
 
 def test_infinite_order_requires_p_not_o():
-    model, cfg = _two_section_model()
-    with pytest.raises(EvidenceError):
-        infinite_order_certificate(model, cfg, "O")
+    with pytest.raises(EvidenceError, match="P must differ"):
+        MWPlan("height-positive", "O", "O", {"O": "c0"})
+    with pytest.raises(EvidenceError, match="unknown evidence plan"):
+        MWPlan("shioda-tate")
+    # sections must meet the fiber class once
+    cfg, e, fiber = _six_cycle_with_sections("c2")
+    plan = MWPlan("height-positive", "O", "P", {"O": "c0", "P": "c2"})
+    with pytest.raises(EvidenceError, match="meets the fiber class 2 times"):
+        mw_evidence(plan, e.scale(2), fiber, cfg, (), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +270,14 @@ def test_cor32_pass_and_symmetry():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
     v12 = cor32_verify(dec1, dec2, ev, ev, cfg)
     v21 = cor32_verify(dec2, dec1, ev, ev, cfg)
-    assert v12.passed and v21.passed
+    assert all(c.status == "PASS" for c in v12 + v21)
+    assert all(isinstance(c, Check) for c in v12)
 
 
 def test_cor32_fails_on_proportional():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    verdict = cor32_verify(dec1, dec1, ev, ev, cfg)
-    failed = {n for n, ok, _ in verdict.checks if not ok}
+    checks = cor32_verify(dec1, dec1, ev, ev, cfg)
+    failed = {n for n, s, _ in checks if s == "FAIL"}
     assert failed == {"non-proportional"}
 
 
@@ -260,25 +285,24 @@ def test_cor32_needs_witness_when_r_curves_differ():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
     dec2b = Decomposition(e2, DivisorClass.from_dict(cfg, {"R": 1, "B'": 1}),
                           1, "A'", 1, "C")
-    verdict = cor32_verify(dec1, dec2b, ev, ev, cfg)
-    assert not verdict.passed
-    assert any(n == "common-point" and not ok for n, ok, _ in verdict.checks)
+    checks = cor32_verify(dec1, dec2b, ev, ev, cfg)
+    assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks}
     # a fixed-pivot witness needs C.R positive for both curves; C.A' = 0 here
-    verdict2 = cor32_verify(dec1, dec2b, ev, ev, cfg,
-                            witness=TriplePointWitness("fixed-pivot"))
-    assert any(n == "common-point" and not ok for n, ok, _ in verdict2.checks)
+    checks2 = cor32_verify(dec1, dec2b, ev, ev, cfg,
+                           witness=TriplePointWitness("fixed-pivot"))
+    assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks2}
 
 
 def test_cor32_reports_bad_decomposition():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
     bad = Decomposition(e1, DivisorClass.from_dict(cfg, {"A": 1}),
                         1, "R", 1, "C")
-    verdict = cor32_verify(bad, dec2, ev, ev, cfg)
-    assert any(n == "decomposition-E1" and not ok for n, ok, _ in verdict.checks)
+    checks = cor32_verify(bad, dec2, ev, ev, cfg)
+    assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
 
 
 def test_cor32_propagates_evidence_failure():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
     fail = EvidenceFailure("case1:r<rho-1", "synthetic failure")
-    verdict = cor32_verify(dec1, dec2, ev, fail, cfg)
-    assert any(n == "mw-evidence-E2" and not ok for n, ok, _ in verdict.checks)
+    checks = cor32_verify(dec1, dec2, ev, fail, cfg)
+    assert Check("mw-evidence-E2", "FAIL", "case1:r<rho-1: synthetic failure") in checks

@@ -177,6 +177,22 @@ def test_every_error_class_has_the_one_root():
     assert issubclass(errors.K3CertError, ValueError)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--only", "nosuch"], "error: no built-in case row matches --only nosuch\n"),
+    (["verify", "--only", "rho11", "--param", "9"],
+     "error: no built-in case row matches --only rho11 --param 9\n"),
+    (["verify", "--all", "--param", "9"], "error: no built-in case row matches --param 9\n"),
+    (["case", "dump", "nosuch"], "error: no case 'nosuch'\n"),
+    (["case", "dump", "rho11", "--param", "9"],
+     "error: rho11: parameter '9' not in (0, 1, 2)\n"),
+])
+def test_bad_case_selection_exits_2_with_one_line(capsys, argv, message):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["fiber", "classify", "{file}", "E"], "curves: a b\nmeets: a b 2\ndivisor E: a=-1\n",
      "error: divisor class is not effective\n"),

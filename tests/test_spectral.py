@@ -14,9 +14,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cert import cli
+from k3cert import cli, spectral
 from k3cert.errors import K3CertError
-from k3cert.exactlinalg import adjugate_inverse, char_poly, identity, mat_mul
+from k3cert.exactlinalg import char_poly, identity, mat_mul
 from k3cert.lattices import gram_of
 from k3cert.spectral import (
     NotIsometryError,
@@ -24,10 +24,10 @@ from k3cert.spectral import (
     cyclotomic,
     entropy,
     euler_phi,
-    has_root_above_one,
     is_isometry,
     is_reciprocal,
     largest_real_root,
+    root_bound,
     salem_factor,
     squarefree_part,
     strip_cyclotomic_factors,
@@ -145,9 +145,7 @@ def test_char_poly_reciprocity_for_isometries():
 
 
 def test_entropy_of_inverse_and_powers():
-    adj, d = adjugate_inverse(M_HYP)
-    assert d in (1, -1)
-    inv = [[x * d for x in row] for row in adj]  # integer inverse
+    inv = [[int(x) for x in row] for row in sympy.Matrix(M_HYP).inv().tolist()]
     assert mat_mul(M_HYP, inv) == identity(3)
     base = entropy(M_HYP, G3).entropy
     assert abs(entropy(inv, G3).entropy - base) < 3e-9
@@ -190,7 +188,7 @@ def test_sturm_counts_at_a_repeated_root():
     # (x - 1)^2 (x + 1) (x^2 - 6x + 1): every Sturm term of p itself
     # vanishes at x = 1
     p = [1, -7, 6, 6, -7, 1]
-    assert has_root_above_one(p)
+    assert count_real_roots(p, 1, root_bound(p)) == 1
     assert count_real_roots(p, 1, 6) == 1
     assert count_real_roots(p, 0, 1) == 2
     assert count_real_roots(p, -2, 0) == 1
@@ -299,6 +297,28 @@ def test_cli_reports_an_uncertified_salem_factor(tmp_path, capsys):
     assert "class: hyperbolic" in out
     assert ("salem factor: not certified "
             "(more than one pair of eigenvalues off the unit circle)") in out
+
+
+@pytest.mark.parametrize("m,g", [
+    (block_diag(M_HYP, mat_mul(M_HYP, M_HYP)), block_diag(G3, G3)),
+    ([[-x for x in row] for row in M_HYP], G3),
+], ids=["two-pairs", "negative-radius"])
+def test_cli_entropy_computes_one_char_poly(tmp_path, capsys, monkeypatch, m, g):
+    # the "not certified" reason comes with the report, not from a second
+    # characteristic polynomial
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return char_poly(a)
+    for mod in (cli, spectral):
+        if hasattr(mod, "char_poly"):
+            monkeypatch.setattr(mod, "char_poly", counted)
+    path = tmp_path / "iso.txt"
+    path.write_text(f"{len(m)} " + " ".join(str(x) for row in g + m for x in row) + "\n")
+    assert cli.run(["entropy", str(path)]) == 0
+    assert "salem factor: not certified" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_negative_spectral_radius_on_u_plus_a1():
