@@ -6,7 +6,8 @@ arithmetic is arbitrary precision throughout, no floating point.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 
 from .errors import K3CertError
 
@@ -460,24 +461,122 @@ def poly_primitive(p):
 
 
 def char_poly(m):
-    """Monic characteristic polynomial det(xI - M), exact.
+    """Monic characteristic polynomial det(xI - M) of an integer matrix,
+    exact, as ints in ascending degree.
 
-    Faddeev-LeVerrier over the integers: every M_k is integral and k
-    divides tr(M M_k), so each coefficient comes from an exact division.
-    Returned as ints, ascending degree.
+    Multimodular: det(xI - M) modulo primes just below 2**62, each in
+    O(n^3) small-integer steps, combined by the Chinese remainder theorem
+    until the modulus exceeds twice a bound on every coefficient.  The
+    coefficient of x^(n-k) is +-e_k of the eigenvalues, the sum of the
+    principal k-minors; by Hadamard each is at most the product of its
+    column norms, so all are at most prod_j (1 + beta_j) with beta_j the
+    norm of column j rounded up.
     """
     r, c = dims(m)
     if r != c:
         raise NonSquareError("char_poly needs a square matrix")
-    n = r
-    coeffs = [0] * n + [1]
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier division is inexact")
-        coeffs[n - k] = ck
-        for i in range(n):
-            mk[i][i] += ck
-    return coeffs
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise ArithmeticError("char_poly needs an integer matrix")
+    bound = 1
+    for j in range(c):
+        bound *= isqrt(sum(row[j] * row[j] for row in m)) + 2
+    coeffs, modulus = [0] * (r + 1), 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        i += 1
+        lift = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((y - x) * lift % p)
+                  for x, y in zip(coeffs, _char_poly_mod(m, p))]
+        modulus *= p
+    half = modulus // 2
+    return [x - modulus if x > half else x for x in coeffs]
+
+
+def _char_poly_mod(m, p):
+    """det(xI - M) modulo the prime p, ascending: reduce M to upper
+    Hessenberg form H by similarity, then read the polynomial off the
+    recurrence on the leading principal blocks of H (Cohen, GTM 138,
+    Alg. 2.2.9)."""
+    n = len(m)
+    h = [[x % p for x in row] for row in m]
+    for k in range(1, n - 1):
+        # zero column k-1 below row k
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1], -1, p)
+        top = h[k][k - 1:]
+        mult = [0] * (n - k - 1)
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * inv % p
+            if u:
+                mult[i - k - 1] = u
+                h[i][k - 1:] = [(x - u * y) % p for x, y in zip(h[i][k - 1:], top)]
+        if any(mult):
+            # the inverse of the row operations: column k += u_i column i
+            for row in h:
+                row[k] = (row[k] + sum(map(mul, mult, row[k + 1:]))) % p
+    # polys[k] = det(xI - H_k) for the leading k x k block H_k:
+    # polys[k+1] = (x - h_kk) polys[k]
+    #              - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} polys[i]
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[-1]
+        d = h[k][k]
+        new = [0] + prev
+        new[:k + 1] = [x - d * y for x, y in zip(new, prev)]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][k] * t % p
+            if f:
+                new[:i + 1] = [x - f * y for x, y in zip(new, polys[i])]
+        polys.append([x % p for x in new])
+    return polys[-1]
+
+
+# Primes just below 2**62, largest first, found on first use.
+_PRIMES = []
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _prime(i):
+    """The (i+1)-th largest prime below 2**62."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**62 - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _is_prime(n):
+    """Miller-Rabin to the twelve prime bases 2, 3, ..., 37, which proves
+    primality for n < 3.18 * 10**23 (Sorenson and Webster, 2015)."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

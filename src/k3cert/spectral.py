@@ -88,22 +88,19 @@ def _cyclotomic_orders(deg):
 def strip_cyclotomic_factors(p):
     """Divide out every cyclotomic factor; returns (rest, orders).
 
-    orders lists n once per removed copy of the n-th cyclotomic.
+    orders lists n once per removed copy of the n-th cyclotomic.  One pass
+    over the candidates: each is divided out for as long as it divides,
+    and a quotient never gains a factor, so no candidate needs a retry.
     """
     orders = []
-    candidates = _cyclotomic_orders(len(p) - 1)
-    changed = True
-    while changed and len(p) > 1:
-        changed = False
-        for n in candidates:
-            phi = cyclotomic(n)
-            if len(phi) > len(p):
-                continue
-            q, rem = poly_divmod_exact(p, list(phi))
-            if rem == []:
-                p = q
-                orders.append(n)
-                changed = True
+    for n in _cyclotomic_orders(len(p) - 1):
+        phi = cyclotomic(n)
+        while len(phi) <= len(p):
+            q, rem = poly_divmod_exact(p, phi)
+            if rem:
+                break
+            p = q
+            orders.append(n)
     return p, orders
 
 
@@ -310,7 +307,13 @@ def salem_factor(s):
     s = poly_trim(list(s))
     if len(s) % 2 == 0 or s[-1] != 1 or s != s[::-1]:
         return None
-    _, inside, above = _trace_root_counts(s)
+    return _certified_salem(s, _trace_root_counts(s))
+
+
+def _certified_salem(s, counts):
+    """salem_factor(s) for a monic palindromic s of even degree, from the
+    root counts (below, inside, above) of its trace polynomial."""
+    _, inside, above = counts
     return s if above == 1 and inside == len(s) // 2 - 1 else None
 
 
@@ -347,15 +350,20 @@ class EntropyReport:
 def entropy(m, g, tol=Fraction(1, 10**10)):
     """Classify an isometry and compute its entropy log(spectral radius).
 
-    Hyperbolic vs radius-1 is decided by whether anything is left after
-    the cyclotomic factors are stripped (Kronecker); the radius is the
-    largest real root, found by exact Sturm counts on one squarefree part
-    s, computed once.  Elliptic vs parabolic is decided by exact matrix
-    powering up to the lcm of the cyclotomic orders in the characteristic
-    polynomial.  Raises K3CertError when the form is degenerate (the
-    characteristic polynomial is not reciprocal) and when eigenvalues off
-    the unit circle are not real, which no isometry of signature (1, n-1)
-    has.
+    The characteristic polynomial is computed once, modulo primes
+    (exactlinalg.char_poly).  Hyperbolic vs radius-1 is decided by whether
+    anything is left after the cyclotomic factors are stripped
+    (Kronecker).  On a hyperbolic map the squarefree part s of the rest
+    and one Sturm chain of its trace polynomial give both the Salem
+    certificate and the position of the eigenvalues off the unit circle;
+    the radius is the largest real root of s, or of s(x) s(-x) when it
+    may be negative, refined by exact bisection.  Otherwise let N be the
+    lcm of the orders n of the cyclotomic factors Phi_n: the map is
+    elliptic of order exactly N when m^N = I, by one exact matrix power,
+    and parabolic when not.  Raises K3CertError when the form is
+    degenerate (the characteristic polynomial is not reciprocal) and when
+    eigenvalues off the unit circle are not real, which no isometry of
+    signature (1, n-1) has.
     """
     if not is_isometry(m, g):
         raise NotIsometryError("matrix does not preserve the form")
@@ -368,13 +376,15 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     rest, orders = strip_cyclotomic_factors(list(p))
     if len(rest) > 1:
         # rest is monic, palindromic of even degree and has a root off the
-        # unit circle (Kronecker), so s has one too
+        # unit circle (Kronecker), so s has one too, and s is monic and
+        # palindromic: its roots pair off as x, 1/x with none at +-1
         s = squarefree_part(rest)
-        factor = salem_factor(s)
+        counts = _trace_root_counts(s)
+        factor = _certified_salem(s, counts)
         radius_poly = s
         reason = None
         if factor is None:
-            below, inside, above = _trace_root_counts(s)
+            below, inside, above = counts
             if below + inside + above < len(s) // 2:
                 raise K3CertError("eigenvalues off the unit circle are not real: "
                                   "spectral radius not certified")
@@ -399,8 +409,9 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     for k in orders:
         order = order * k // math.gcd(order, k)
     if _mat_pow(m, order) == identity(n):
-        true_order = _exact_order(m, order)
-        return EntropyReport(1.0, (Fraction(1), Fraction(1)), 0.0, "elliptic", None, true_order)
+        # each n in orders gives a primitive n-th root of unity as an
+        # eigenvalue, so n divides every k with m^k = I: order is exact
+        return EntropyReport(1.0, (Fraction(1), Fraction(1)), 0.0, "elliptic", None, order)
     return EntropyReport(1.0, (Fraction(1), Fraction(1)), 0.0, "parabolic", None, None)
 
 
@@ -415,14 +426,3 @@ def _mat_pow(m, k):
         if k:
             base = mat_mul(base, base)
     return out
-
-
-def _exact_order(m, bound):
-    """Order of m, given that m^bound = I: divide each prime out of bound
-    while the power stays the identity."""
-    ident = identity(len(m))
-    order = bound
-    for p in _prime_factors(bound):
-        while order % p == 0 and _mat_pow(m, order // p) == ident:
-            order //= p
-    return order

@@ -7,7 +7,7 @@ the functions under test.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +249,115 @@ def test_char_poly_raises_on_inexact_division():
         char_poly([[Fraction(1, 2)]])
 
 
+# the multimodular characteristic polynomial: primes just below 2**62
+
+def _first_prime():
+    import sympy
+    return sympy.prevprime(2**62)
+
+
+def _col_bound(m):
+    """The Hadamard bound char_poly uses: prod_j (isqrt(|col_j|^2) + 2)."""
+    out = 1
+    for j in range(len(m)):
+        out *= isqrt(sum(row[j] ** 2 for row in m)) + 2
+    return out
+
+
+def test_char_poly_large_entries_need_several_primes():
+    import sympy
+    rng = random.Random(110)
+    m = [[rng.randint(-10**6, 10**6) for _ in range(10)] for _ in range(10)]
+    p0 = _first_prime()
+    p1 = sympy.prevprime(p0)
+    # the CRT cannot stop before a third prime
+    assert 2 * _col_bound(m) >= p0 * p1
+    assert char_poly(m) == _sympy_char_poly(m)
+
+
+def _permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_char_poly_pivot_swaps_and_skipped_columns(seed):
+    rng = random.Random(120 + seed)
+    n = rng.randint(3, 8)
+    k = rng.randint(1, n - 1)
+    # a permutation puts zeros on the subdiagonal (a swap or a skip)
+    perm = _permutation(rng, n)
+    # block triangular: the lower-left block is zero, so whole columns
+    # below the subdiagonal are zero
+    block = [[0 if i >= k and j < k else rng.randint(-4, 4) for j in range(n)]
+             for i in range(n)]
+    # strictly upper triangular, and the same nilpotent map in another basis
+    nil = [[rng.randint(-4, 4) if j > i else 0 for j in range(n)] for i in range(n)]
+    nil_conj = mat_mul(perm, mat_mul(nil, transpose(perm)))
+    # a sparse matrix whose first subdiagonal entry is zero
+    sparse = [[rng.choice([0, 0, 0, rng.randint(-3, 3)]) for _ in range(n)] for _ in range(n)]
+    sparse[1][0] = 0
+    for m in (perm, block, nil, nil_conj, sparse):
+        assert char_poly(m) == _sympy_char_poly(m)
+    assert char_poly(nil) == [0] * n + [1]
+
+
+def test_char_poly_entries_divisible_by_the_first_prime():
+    p0 = _first_prime()
+    rng = random.Random(111)
+    for n in (1, 3, 5):
+        m = [[p0 * rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        # plus the identity: modulo p0 the matrix is I, every residue 0 or +-1
+        shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert char_poly(m) == _sympy_char_poly(m)
+        assert char_poly(shifted) == _sympy_char_poly(shifted)
+
+
+def test_char_poly_coefficients_near_half_the_modulus():
+    import sympy
+    p0 = _first_prime()
+    p1 = sympy.prevprime(p0)
+    # one prime: 2 * bound = 2a + 4 = p0 - 1, and -a lifts from p0 - a > p0 / 2
+    a = (p0 - 5) // 2
+    assert char_poly([[a]]) == [-a, 1]
+    assert char_poly([[-a]]) == [a, 1]
+    # 2 * bound = p0 + 1: a second prime is needed
+    a = (p0 - 3) // 2
+    assert char_poly([[a]]) == [-a, 1]
+    # two primes, M = p0 p1 > 2 (a + 2)^2, constant term +-a^2 near +-M / 2
+    a = isqrt(p0 * p1 // 2) - 2
+    assert 2 * (a + 2) ** 2 < p0 * p1 < 2 * (a + 3) ** 2
+    assert char_poly([[a, 0], [0, a]]) == [a * a, -2 * a, 1]
+    assert char_poly([[a, 0], [0, -a]]) == [-a * a, 0, 1]
+
+
+def test_cached_primes_are_prime():
+    import sympy
+    from k3cert import exactlinalg
+    char_poly([[10**40]])    # needs three primes
+    primes = exactlinalg._PRIMES
+    assert len(primes) >= 3
+    assert all(sympy.isprime(q) for q in primes)
+    # the largest primes below 2**62, in order, none skipped
+    assert primes[0] == _first_prime()
+    assert all(q == sympy.prevprime(r) for r, q in zip(primes, primes[1:]))
+
+
+def test_import_does_no_prime_search():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import k3cert.cli, k3cert.exactlinalg as x; print(len(x._PRIMES))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "0\n"
+
+
 def test_char_poly_constant_term_is_det():
     rng = random.Random(107)
     for _ in range(60):
@@ -269,7 +378,7 @@ def test_kernel_basis_annihilates():
         m = random_matrix(rng, r, c)
         for v in kernel_basis(m):
             assert mat_mul(m, [[x] for x in v]) == [[0]] * r
-            from math import gcd
+            from math import gcd, isqrt
             g = 0
             for x in v:
                 g = gcd(g, x)

@@ -6,6 +6,7 @@ provides an independent characteristic-polynomial oracle.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from k3cert import cli, spectral
 from k3cert.errors import K3CertError
-from k3cert.exactlinalg import char_poly, identity, mat_mul
+from k3cert.exactlinalg import char_poly, identity, mat_mul, transpose
 from k3cert.lattices import gram_of
 from k3cert.spectral import (
     NotIsometryError,
@@ -68,6 +69,16 @@ def test_strip_cyclotomic():
     rest, orders = strip_cyclotomic_factors(full)
     assert rest == [1]
     assert sorted(orders) == [1, 1, 3]
+    # repeated factors in front of a non-cyclotomic rest
+    rng = random.Random(130)
+    for _ in range(20):
+        orders = sorted(rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12]) for _ in range(rng.randint(1, 6)))
+        rest = rng.choice([[1], [1, -6, 1], LEHMER])
+        p = rest
+        for n in orders:
+            p = poly_mul(p, list(cyclotomic(n)))
+        got_rest, got_orders = strip_cyclotomic_factors(p)
+        assert got_rest == rest and sorted(got_orders) == orders
 
 
 def test_sturm_root_isolation():
@@ -356,13 +367,72 @@ def test_cli_note_for_a_negative_spectral_radius(tmp_path, capsys):
     assert "more than one pair" not in out
 
 
-def test_exact_order_divides_primes_out_of_the_bound():
-    from k3cert.spectral import _exact_order
-    # a rotation of order 6 on A2 + A1 sign flip: order 6
-    m = block_diag([[0, -1], [1, 1]], [[-1]])
-    for bound in (6, 12, 30, 60, 210):
-        assert _exact_order(m, bound) == 6
-    assert _exact_order(identity(3), 60) == 1
+def finite_block(name):
+    """(Gram, isometry) of finite order: the Coxeter element of a root
+    lattice in its simple-root basis, or +-1 on A1."""
+    if name in ("+1", "-1"):
+        return [[-2]], [[int(name)]]
+    g = gram_of(name).gram_rows()
+    return g, coxeter_element(g)
+
+
+def random_basis(rng, n, steps):
+    """A unimodular S and its inverse, by elementary column operations."""
+    s, s_inv = identity(n), identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        for row in s:
+            row[j] += c * row[i]
+        s_inv[i] = [x - c * y for x, y in zip(s_inv[i], s_inv[j])]
+    return s, s_inv
+
+
+def brute_force_order(m):
+    ident = identity(len(m))
+    power, k = m, 1
+    while power != ident:
+        power, k = mat_mul(power, m), k + 1
+    return k
+
+
+@pytest.mark.parametrize("names", [
+    ("E8",), ("A6", "A4"), ("E8", "D4", "A2"), ("D4", "A2", "-1"), ("A6", "-1", "+1"),
+    ("E8", "A6", "A4", "-1"), ("+1", "+1"), ("-1", "-1"), ("A2", "A2", "+1"),
+])
+def test_elliptic_order_is_the_least_period(names):
+    rng = random.Random(" ".join(names))
+    gs, ms = zip(*(finite_block(name) for name in names))
+    g, m = block_diag(*gs), block_diag(*ms)
+    s, s_inv = random_basis(rng, len(m), 3 * len(m))
+    assert mat_mul(s, s_inv) == identity(len(m))
+    g = mat_mul(transpose(s), mat_mul(g, s))
+    m = mat_mul(s_inv, mat_mul(m, s))
+    rep = entropy(m, g)
+    assert rep.dynamical_class == "elliptic"
+    assert rep.order == brute_force_order(m)
+
+
+@pytest.mark.parametrize("m,g", [
+    (block_diag(M_HYP, mat_mul(M_HYP, M_HYP)), block_diag(G3, G3)),
+    ([[-x for x in row] for row in M_HYP], G3),
+], ids=["two-pairs", "negative-radius"])
+def test_entropy_builds_one_sturm_chain_of_the_trace_polynomial(monkeypatch, m, g):
+    # on a non-Salem hyperbolic map the Salem certificate and the reason
+    # come from the same root counts of Q
+    rest, _ = strip_cyclotomic_factors(char_poly(m))
+    q = trace_polynomial(squarefree_part(rest))
+    chains = []
+
+    def counted(p):
+        chains.append(list(p))
+        return sturm_sequence(p)
+    monkeypatch.setattr(spectral, "sturm_sequence", counted)
+    rep = entropy(m, g)
+    assert rep.salem_factor is None and rep.no_salem_reason is not None
+    assert chains.count(q) == 1
+    # the other chain is the one the radius is isolated on
+    assert len(chains) == 2
 
 
 # ---------------------------------------------------------------------------
