@@ -54,10 +54,8 @@ class CaseInstance:
     fixed_curves: tuple
     phi_fibers: tuple              # (label, expected_kind, support tuple)
     phi_rank_expected: object      # int or None: Shioda-Tate rank of phi when asserted
-    e1: DivisorClass
-    e2: DivisorClass
     e_kind: str                    # expected Kodaira kind of E1 and E2
-    dec1: Decomposition
+    dec1: Decomposition            # E1 = D1 + a1*R1 + b1*C, with E1 as dec1.e
     dec2: Decomposition
     mw_plan: MWPlan
     witness: object                # TriplePointWitness or None
@@ -67,8 +65,6 @@ class CaseInstance:
 @dataclass(frozen=True)
 class CaseRecord:
     case_id: str
-    triple: tuple
-    ns_expr: str
     param_values: tuple            # (None,) when concrete
     builder: object = field(compare=False)
 
@@ -103,16 +99,13 @@ def _build_rho11(t):
     cfg = make_config(
         ["C", "H", "gH"],
         [("C", "H", 2), ("C", "gH", 2)] + ([("H", "gH", t)] if t else []))
-    e1 = _div(cfg, {"H": 1, "C": 1})
-    e2 = _div(cfg, {"gH": 1, "C": 1})
-    zero = _div(cfg, {})
-    dec1 = Decomposition(e1, zero, 1, "H", 1, "C")
-    dec2 = Decomposition(e2, zero, 1, "gH", 1, "C")
+    dec1 = Decomposition(_div(cfg, {"H": 1, "C": 1}), 1, "H", 1, "C")
+    dec2 = Decomposition(_div(cfg, {"gH": 1, "C": 1}), 1, "gH", 1, "C")
     return CaseInstance(
         case_id="rho11", param=t, rho=11, triple=(11, 11, 1),
         ns_expr="U(2)+A1^9", k=1, cfg=cfg, fixed_curves=("C",),
         phi_fibers=(), phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I2/III", dec1=dec1, dec2=dec2,
+        e_kind="I2/III", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=TriplePointWitness(
             "fixed-pivot",
@@ -135,15 +128,15 @@ def _build_rho12(_):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C1", "H1", "C2", "H2"])
     e2 = _cycle_div(cfg, ["C1", "H1", "C2", "H3"])
-    dec1 = Decomposition(e1, _div(cfg, {"C2": 1, "H2": 1}), 1, "H1", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, {"C2": 1, "H3": 1}), 1, "H1", 1, "C1")
+    dec1 = Decomposition(e1, 1, "H1", 1, "C1")
+    dec2 = Decomposition(e2, 1, "H1", 1, "C1")
     return CaseInstance(
         case_id="rho12", param=None, rho=12, triple=(12, 10, 1),
         ns_expr="U+A1^10", k=2, cfg=cfg, fixed_curves=("C1", "C2"),
         phi_fibers=tuple((f"F{i}", "I2", (f"H{i}", f"H{i}'"))
                          for i in range(1, 11)),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I4", dec1=dec1, dec2=dec2,
+        e_kind="I4", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -165,17 +158,15 @@ def _build_rho13(_):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C2", "F1", "C1", "H1", "C3", "F2"])
     e2 = _cycle_div(cfg, ["C2", "F1", "C1", "H2", "C3", "F2"])
-    dec1 = Decomposition(e1, _div(cfg, {"C2": 1, "H1": 1, "C3": 1, "F2": 1}),
-                         1, "F1", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, {"C2": 1, "H2": 1, "C3": 1, "F2": 1}),
-                         1, "F1", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F1", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F1", 1, "C1")
     return CaseInstance(
         case_id="rho13", param=None, rho=13, triple=(13, 9, 1),
         ns_expr="U+D4+A1^7", k=3, cfg=cfg, fixed_curves=("C1", "C2", "C3"),
         phi_fibers=(("F0", "I0*", ("C2", "F1", "F2", "F3", "F4")),)
         + tuple((f"G{i}", "I2", (f"H{i}", f"H{i}'")) for i in range(1, 8)),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I6", dec1=dec1, dec2=dec2,
+        e_kind="I6", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -201,10 +192,8 @@ def _build_rho14(_):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C2", "F12", "C1", "F14", "C4", "F24"])
     e2 = _cycle_div(cfg, ["C2", "F12", "C1", "F14'", "C4", "F24"])
-    dec1 = Decomposition(e1, _div(cfg, {"C2": 1, "F14": 1, "C4": 1, "F24": 1}),
-                         1, "F12", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, {"C2": 1, "F14'": 1, "C4": 1, "F24": 1}),
-                         1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
     return CaseInstance(
         case_id="rho14", param=None, rho=14, triple=(14, 8, 1),
         ns_expr="U+D4^2+A1^4", k=4, cfg=cfg,
@@ -214,7 +203,7 @@ def _build_rho14(_):
         + tuple((f"G{s or '0'}", "I2", (f"F14{s}", f"F44{s}"))
                 for s in ("", "'", "''", "'''")),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I6", dec1=dec1, dec2=dec2,
+        e_kind="I6", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -240,12 +229,8 @@ def _build_rho15(_):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C4", "F45", "C5", "F25", "C2", "F12", "C1", "F14"])
     e2 = _cycle_div(cfg, ["C4", "F45", "C5", "F25'", "C2", "F12", "C1", "F14"])
-    dec1 = Decomposition(
-        e1, _div(cfg, {"C4": 1, "F45": 1, "C5": 1, "F25": 1, "C2": 1, "F14": 1}),
-        1, "F12", 1, "C1")
-    dec2 = Decomposition(
-        e2, _div(cfg, {"C4": 1, "F45": 1, "C5": 1, "F25'": 1, "C2": 1, "F14": 1}),
-        1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
     return CaseInstance(
         case_id="rho15", param=None, rho=15, triple=(15, 7, 1),
         ns_expr="U+D4^3+A1", k=5, cfg=cfg,
@@ -255,7 +240,7 @@ def _build_rho15(_):
                     ("F0''", "I0*", ("C4", "F14", "F45", "F45'", "F45''")),
                     ("G0", "I2", ("F15", "F55"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I8", dec1=dec1, dec2=dec2,
+        e_kind="I8", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -288,12 +273,8 @@ def _build_rho16(_):
                           "C4", "F46", "C6", "F26", "C2", "G23"])
     e2 = _cycle_div(cfg, ["C3", "F13", "C1", "F15", "C5", "G45",
                           "C4", "F46", "C6", "F26'", "C2", "G23"])
-    rest1 = {n: 1 for n in ("C3", "C5", "G45", "C4", "F46", "C6", "F26", "C2", "G23", "F15")}
-    rest2 = dict(rest1)
-    del rest2["F26"]
-    rest2["F26'"] = 1
-    dec1 = Decomposition(e1, _div(cfg, rest1), 1, "F13", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 1, "F13", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F13", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F13", 1, "C1")
     return CaseInstance(
         case_id="rho16", param=None, rho=16, triple=(16, 6, 1),
         ns_expr="U+D6^2+A1^2", k=6, cfg=cfg,
@@ -303,7 +284,7 @@ def _build_rho16(_):
                     ("GA", "I2", ("F16", "F66")),
                     ("GB", "I2", ("F16'", "F66'"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I12", dec1=dec1, dec2=dec2,
+        e_kind="I12", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -335,13 +316,8 @@ def _build_rho17(_):
                           "F31", "C3", "G23", "C2", "F27", "C7", "F47"])
     e2 = _cycle_div(cfg, ["C4", "G45", "C5", "G56", "C6", "F61", "C1",
                           "F31", "C3", "G23", "C2", "F27", "C7", "F47'"])
-    rest1 = {n: 1 for n in ("C4", "G45", "C5", "G56", "C6", "F61",
-                            "C3", "G23", "C2", "F27", "C7", "F47")}
-    rest2 = dict(rest1)
-    del rest2["F47"]
-    rest2["F47'"] = 1
-    dec1 = Decomposition(e1, _div(cfg, rest1), 1, "F31", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 1, "F31", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F31", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F31", 1, "C1")
     return CaseInstance(
         case_id="rho17", param=None, rho=17, triple=(17, 5, 1),
         ns_expr="U+D6+D8+A1", k=7, cfg=cfg,
@@ -351,7 +327,7 @@ def _build_rho17(_):
                                    "C6", "F61", "F67")),
                     ("GA", "I2", ("F17", "F77"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I14", dec1=dec1, dec2=dec2,
+        e_kind="I14", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -381,12 +357,8 @@ def _build_rho18_delta0(_):
            "F17", "C1", "F12", "C2", "F28''", "C8", "F38"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F38'"])
-    rest1 = {n: 1 for n in cyc if n not in ("F12", "C1")}
-    rest2 = dict(rest1)
-    del rest2["F38"]
-    rest2["F38'"] = 1
-    dec1 = Decomposition(e1, _div(cfg, rest1), 1, "F12", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
     return CaseInstance(
         case_id="rho18-delta0", param=None, rho=18, triple=(18, 4, 0),
         ns_expr="U+D4+D12", k=8, cfg=cfg,
@@ -395,7 +367,7 @@ def _build_rho18_delta0(_):
                     ("FB", "I8*", ("F38", "F38'", "C3", "G34", "C4", "G45",
                                    "C5", "G56", "C6", "G67", "C7", "F17", "F78"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
+        e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -425,12 +397,8 @@ def _build_rho18_delta1(_):
            "C7", "F17", "C1", "F18", "C8", "F28"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F28'"])
-    rest1 = {n: 1 for n in cyc if n not in ("F17", "C1")}
-    rest2 = dict(rest1)
-    del rest2["F28"]
-    rest2["F28'"] = 1
-    dec1 = Decomposition(e1, _div(cfg, rest1), 1, "F17", 1, "C1")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 1, "F17", 1, "C1")
+    dec1 = Decomposition(e1, 1, "F17", 1, "C1")
+    dec2 = Decomposition(e2, 1, "F17", 1, "C1")
     return CaseInstance(
         case_id="rho18-delta1", param=None, rho=18, triple=(18, 4, 1),
         ns_expr="U+D14+A1^2", k=8, cfg=cfg,
@@ -441,7 +409,7 @@ def _build_rho18_delta1(_):
                     ("GA", "I2", ("F18", "F88")),
                     ("GB", "I2", ("F18'", "F88'"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
+        e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -468,12 +436,8 @@ def _build_rho19(_):
            "C7", "G78", "C8", "F89", "C9", "F29"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F29'"])
-    rest1 = {n: 1 for n in cyc if n not in ("F89", "C9")}
-    rest2 = dict(rest1)
-    del rest2["F29"]
-    rest2["F29'"] = 1
-    dec1 = Decomposition(e1, _div(cfg, rest1), 1, "F89", 1, "C9")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 1, "F89", 1, "C9")
+    dec1 = Decomposition(e1, 1, "F89", 1, "C9")
+    dec2 = Decomposition(e2, 1, "F89", 1, "C9")
     return CaseInstance(
         case_id="rho19", param=None, rho=19, triple=(19, 3, 1),
         ns_expr="U+D16+A1", k=9, cfg=cfg,
@@ -483,7 +447,7 @@ def _build_rho19(_):
                                     "C7", "G78", "C8", "F89", "F18")),
                     ("GA", "I2", ("F19", "F99"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="I16", dec1=dec1, dec2=dec2,
+        e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
         witness=None,
         encoding_flags=(
@@ -513,12 +477,8 @@ def _build_rho20(_):
                     "F90": 2, "C9": 1})
     e2 = _div(cfg, {"C0": 3, "F30": 2, "C3": 1, "F60": 2, "C6": 1,
                     "F90'": 2, "C9": 1})
-    dec1 = Decomposition(
-        e1, _div(cfg, {"C3": 1, "F60": 2, "C6": 1, "F90": 2, "C9": 1}),
-        2, "F30", 3, "C0")
-    dec2 = Decomposition(
-        e2, _div(cfg, {"C3": 1, "F60": 2, "C6": 1, "F90'": 2, "C9": 1}),
-        2, "F30", 3, "C0")
+    dec1 = Decomposition(e1, 2, "F30", 3, "C0")
+    dec2 = Decomposition(e2, 2, "F30", 3, "C0")
     return CaseInstance(
         case_id="rho20", param=None, rho=20, triple=(20, 2, 1),
         ns_expr="U+E8+D10", k=10, cfg=cfg,
@@ -528,7 +488,7 @@ def _build_rho20(_):
                     ("FB", "I6*", ("F16", "F60", "C6", "G67", "C7", "G78",
                                    "C8", "G89", "C9", "F90", "F90'"))),
         phi_rank_expected=None,
-        e1=e1, e2=e2, e_kind="IV*", dec1=dec1, dec2=dec2,
+        e_kind="IV*", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("additive-same-component", "G23", "G34",
                        {"G23": "C3", "G34": "C3"}),
         witness=None,
@@ -563,20 +523,14 @@ def _build_singular_k3(variant):
     leaves = {"a7": 1, "a9": 1, "b7": 1, "b9": 1}
     e1 = _div(cfg, {**chain, **leaves, "D1": 2})
     e2 = _div(cfg, {**chain, **leaves, "D2": 2})
-    rest1 = {**chain, **leaves, "D1": 2}
-    del rest1["a1"]
-    del rest1["a2"]
-    rest2 = {**chain, **leaves, "D2": 2}
-    del rest2["a1"]
-    del rest2["a2"]
-    dec1 = Decomposition(e1, _div(cfg, rest1), 2, "a2", 2, "a1")
-    dec2 = Decomposition(e2, _div(cfg, rest2), 2, "a2", 2, "a1")
+    dec1 = Decomposition(e1, 2, "a2", 2, "a1")
+    dec2 = Decomposition(e2, 2, "a2", 2, "a1")
     return CaseInstance(
         case_id="singular-k3", param=variant, rho=20, triple=None,
         ns_expr=None, k=0, cfg=cfg, fixed_curves=(),
         phi_fibers=tuple(phi_fibers),
         phi_rank_expected=2 if variant == "none" else 1,
-        e1=e1, e2=e2, e_kind="I12*", dec1=dec1, dec2=dec2,
+        e_kind="I12*", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("height-positive", "a8", "b8", {"a8": "a7", "b8": "b7"}),
         witness=None,
         encoding_flags=(
@@ -595,18 +549,18 @@ def _build_singular_k3(variant):
 def builtin_cases():
     """All built-in case records in deterministic order."""
     return [
-        CaseRecord("rho11", (11, 11, 1), "U(2)+A1^9", (0, 1, 2), _build_rho11),
-        CaseRecord("rho12", (12, 10, 1), "U+A1^10", (None,), _build_rho12),
-        CaseRecord("rho13", (13, 9, 1), "U+D4+A1^7", (None,), _build_rho13),
-        CaseRecord("rho14", (14, 8, 1), "U+D4^2+A1^4", (None,), _build_rho14),
-        CaseRecord("rho15", (15, 7, 1), "U+D4^3+A1", (None,), _build_rho15),
-        CaseRecord("rho16", (16, 6, 1), "U+D6^2+A1^2", (None,), _build_rho16),
-        CaseRecord("rho17", (17, 5, 1), "U+D6+D8+A1", (None,), _build_rho17),
-        CaseRecord("rho18-delta0", (18, 4, 0), "U+D4+D12", (None,), _build_rho18_delta0),
-        CaseRecord("rho18-delta1", (18, 4, 1), "U+D14+A1^2", (None,), _build_rho18_delta1),
-        CaseRecord("rho19", (19, 3, 1), "U+D16+A1", (None,), _build_rho19),
-        CaseRecord("rho20", (20, 2, 1), "U+E8+D10", (None,), _build_rho20),
-        CaseRecord("singular-k3", None, None, ("none", "I2", "III"),
+        CaseRecord("rho11", (0, 1, 2), _build_rho11),
+        CaseRecord("rho12", (None,), _build_rho12),
+        CaseRecord("rho13", (None,), _build_rho13),
+        CaseRecord("rho14", (None,), _build_rho14),
+        CaseRecord("rho15", (None,), _build_rho15),
+        CaseRecord("rho16", (None,), _build_rho16),
+        CaseRecord("rho17", (None,), _build_rho17),
+        CaseRecord("rho18-delta0", (None,), _build_rho18_delta0),
+        CaseRecord("rho18-delta1", (None,), _build_rho18_delta1),
+        CaseRecord("rho19", (None,), _build_rho19),
+        CaseRecord("rho20", (None,), _build_rho20),
+        CaseRecord("singular-k3", ("none", "I2", "III"),
                    _build_singular_k3),
     ]
 
@@ -792,27 +746,21 @@ class Mutation:
 
 
 def _mut_e2_equals_e1(inst):
-    return replace(inst, e2=inst.e1, dec2=inst.dec1)
+    return replace(inst, dec2=inst.dec1)
 
 
 def _mut_corrupt_multiplicity(inst):
     # rho20: the IV* candidate with the F30 coefficient knocked from 2 to 1
-    d = inst.e1.to_dict(inst.cfg)
+    d = inst.dec1.e.to_dict(inst.cfg)
     d["F30"] = 1
-    e1 = _div(inst.cfg, d)
-    dec1 = replace(inst.dec1, e=e1, a=1)
-    return replace(inst, e1=e1, dec1=dec1)
+    return replace(inst, dec1=replace(inst.dec1, e=_div(inst.cfg, d), a=1))
 
 
 def _mut_drop_component(inst):
     # rho13: E1 with F2 removed is no longer isotropic
-    d = inst.e1.to_dict(inst.cfg)
+    d = inst.dec1.e.to_dict(inst.cfg)
     del d["F2"]
-    e1 = _div(inst.cfg, d)
-    dd = inst.dec1.d.to_dict(inst.cfg)
-    del dd["F2"]
-    dec1 = replace(inst.dec1, e=e1, d=_div(inst.cfg, dd))
-    return replace(inst, e1=e1, dec1=dec1)
+    return replace(inst, dec1=replace(inst.dec1, e=_div(inst.cfg, d)))
 
 
 def _mut_swap_incidence(inst):

@@ -113,6 +113,9 @@ def pairing(d1, d2, cfg):
 class KodairaFiber:
     kind: str                 # "I_n" as "In", "I_b*" as "Ib*", "II*", "III*", "IV*", "I2/III"
     multiplicities: dict = field(compare=False)
+    # I_n: each component's index around the cycle; I_b*: each leaf's
+    # branch node, 0 or 1 (always 0 on I0*); empty for the other kinds
+    position: dict = field(default_factory=dict, compare=False)
 
     @property
     def component_count(self):
@@ -187,7 +190,7 @@ def classify_fiber(cfg, support):
         return KodairaFiber("I2/III", mults)
     if all(k == 1 for c in support for _, k in adj[c]):
         if all(simple_degrees[c] == 2 for c in support):
-            return KodairaFiber(f"I{r}", mults)
+            return KodairaFiber(f"I{r}", mults, _cycle_positions(adj, support[0]))
         # trees: affine A/D/E shapes
         leaves = [c for c in support if simple_degrees[c] == 1]
         branch = [c for c in support if simple_degrees[c] >= 3]
@@ -196,13 +199,14 @@ def classify_fiber(cfg, support):
         if len(branch) == 1 and simple_degrees[branch[0]] == 4:
             if r != 5:
                 raise FiberError("degree-4 vertex only occurs in I0*")
-            return KodairaFiber("I0*", mults)
+            return KodairaFiber("I0*", mults, {c: 0 for c in leaves})
         if len(branch) == 2 and all(simple_degrees[c] == 3 for c in branch):
             b = r - 5
             expected = {c: (1 if c in leaves else 2) for c in support}
             if mults != expected:
                 raise FiberError("multiplicities do not match an I_b* diagram")
-            return KodairaFiber(f"I{b}*", mults)
+            return KodairaFiber(f"I{b}*", mults,
+                                {c: branch.index(adj[c][0][0]) for c in leaves})
         if len(branch) == 1 and simple_degrees[branch[0]] == 3:
             arms = sorted(_arm_lengths(adj, branch[0]))
             if arms == [2, 2, 2] and r == 7:
@@ -214,6 +218,15 @@ def classify_fiber(cfg, support):
             raise FiberError(f"arm lengths {arms} match no affine E diagram")
         raise FiberError("shape matches no affine ADE diagram")
     raise FiberError("multiple bond in a configuration of more than 2 curves")
+
+
+def _cycle_positions(adj, start):
+    """Index of each component of an I_n cycle, walking from start."""
+    position, prev, cur = {}, None, start
+    while cur not in position:
+        position[cur] = len(position)
+        prev, cur = cur, next(b for b, _ in adj[cur] if b != prev)
+    return position
 
 
 def _arm_lengths(adj, center):

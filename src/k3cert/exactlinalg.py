@@ -393,55 +393,35 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod_exact(p, q):
-    """(quotient, remainder) of p by q over the integers.
-
-    Every quotient coefficient must be an integer, which holds when q is
-    monic up to sign, or when q is primitive and divides p (Gauss's
-    lemma); otherwise raises ValueError.
-    """
-    q = poly_trim(q)
-    p = list(poly_trim(p))
-    if not q:
-        raise ZeroDivisionError
-    lead = q[-1]
-    out = [0] * max(len(p) - len(q) + 1, 0)
-    while len(p) >= len(q):
-        k = len(p) - len(q)
-        f, r = divmod(p[-1], lead)
-        if r:
-            raise ValueError("inexact polynomial division")
-        out[k] = f
-        for i, c in enumerate(q):
-            p[k + i] -= f * c
-        while p and not p[-1]:
-            p.pop()
-    return poly_trim(out), p
-
-
-def poly_pseudo_remainder(a, b):
-    """r with c*a = u*b + r, deg r < deg b, for an integer polynomial u and
-    an integer c > 0 (a product of divisors of |lc(b)|): the remainder of
-    a by b over Q times a positive integer, computed in integers."""
+def poly_pseudo_divmod(a, b):
+    """(q, r) with c*a = q*b + r and deg r < deg b, for an integer c > 0
+    that is a product of divisors of |lc(b)|, so c = 1 when b is monic up
+    to sign: the quotient and remainder of a by b over Q, both times c,
+    computed in integers."""
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError
-    if b[-1] < 0:
+    sign = -1 if b[-1] < 0 else 1
+    if sign < 0:
         b = [-c for c in b]
     lead, low = b[-1], b[:-1]
     r = list(poly_trim(a))
+    q = [0] * max(len(r) - len(low), 0)
     while len(r) >= len(b):
         f = r.pop()
         g = gcd(f, lead)
         f //= g
         if lead != g:
-            r = [(lead // g) * c for c in r]
+            m = lead // g
+            r = [m * c for c in r]
+            q = [m * c for c in q]
         k = len(r) - len(low)
+        q[k] = f
         for i, c in enumerate(low):
             r[k + i] -= f * c
         while r and not r[-1]:
             r.pop()
-    return r
+    return (q if sign > 0 else [-c for c in q]), r
 
 
 def poly_derivative(p):

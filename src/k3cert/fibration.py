@@ -67,10 +67,10 @@ def shioda_tate_rank(rho, component_counts):
     a negative result signals an impossible fiber list.
     """
     if rho < 2:
-        raise ValueError("Picard number must be >= 2 for an elliptic surface")
+        raise EvidenceError("Picard number must be >= 2 for an elliptic surface")
     rank = rho - 2 - sum(m - 1 for m in component_counts)
     if rank < 0:
-        raise ValueError(
+        raise EvidenceError(
             f"fiber list is inconsistent: Shioda-Tate rank would be {rank}")
     return rank
 
@@ -121,60 +121,16 @@ def _lemma54_clauses(e, cfg, fixed_curves, rho):
         f"{len(inside)} of {k} fixed curves in Supp E, need k or k-1")
 
 
-def _star_b(kind):
-    return int(kind[1:-1])
-
-
-def _cycle_order(fiber, cfg):
-    """Components of an I_n fiber in cyclic order."""
-    comps = list(fiber.multiplicities)
-    adj = {c: [] for c in comps}
-    for i, a in enumerate(comps):
-        for b in comps[i + 1:]:
-            if cfg.meet(a, b) > 0:
-                adj[a].append(b)
-                adj[b].append(a)
-    order = [comps[0]]
-    prev = None
-    while len(order) < len(comps):
-        nxt = [b for b in adj[order[-1]] if b != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _star_leaf_sides(fiber, cfg):
-    """For an I_b* fiber, the mult-1 leaves grouped by the branch vertex
-    they attach to.  Returns a dict leaf -> side id (0 or 1)."""
-    comps = list(fiber.multiplicities)
-    leaves = [c for c, m in fiber.multiplicities.items() if m == 1]
-    branch = []
-    for c in comps:
-        deg = sum(1 for b in comps if b != c and cfg.meet(c, b) > 0)
-        if deg >= 3:
-            branch.append(c)
-    sides = {}
-    if len(branch) == 1:  # I0*
-        for leaf in leaves:
-            sides[leaf] = 0
-    else:
-        for leaf in leaves:
-            for s, bc in enumerate(branch):
-                if cfg.meet(leaf, bc) > 0:
-                    sides[leaf] = s
-    return sides
-
-
-def _local_contribution(fim, zero, cfg, p, q):
+def _local_contribution(fim, zero, p, q):
     """contr_v(P, Q) for one reducible fiber; zero, p and q are section
     names.
 
-    Sections must sit on multiplicity-1 components.  The zero section's
-    component is the identity component.
+    Sections, the zero section among them, must sit on multiplicity-1
+    components.  The zero section's component is the identity component.
     """
     fiber = fim.fiber
     kind = fiber.kind
-    for s in (p, q):
+    for s in (zero, p, q):
         if s not in fim.section_meets:
             raise EvidenceError(f"no incidence recorded for section {s}")
         comp = fim.section_meets[s]
@@ -197,11 +153,10 @@ def _local_contribution(fim, zero, cfg, p, q):
         # lattice-indistinguishable I2 and III share contr 1/2 only for III;
         # I2 gives i(n-i)/n = 1/2 as well
         return Fraction(1, 2)
+    position = fiber.position
     if kind.endswith("*"):
-        b = _star_b(kind)
-        sides = _star_leaf_sides(fiber, cfg)
-        zs = sides[zero_comp]
-        near = lambda c: sides[c] == zs
+        b = int(kind[1:-1])
+        near = lambda c: position[c] == position[zero_comp]
         if cp == cq:
             return Fraction(1) if near(cp) else Fraction(1) + Fraction(b, 4)
         if near(cp) != near(cq):
@@ -212,11 +167,7 @@ def _local_contribution(fim, zero, cfg, p, q):
         return Fraction(2 + b, 4)
     if kind.startswith("I"):
         n = int(kind[1:])
-        order = _cycle_order(fiber, cfg)
-        zi = order.index(zero_comp)
-        i = (order.index(cp) - zi) % n
-        j = (order.index(cq) - zi) % n
-        i, j = min(i, j), max(i, j)
+        i, j = sorted((position[c] - position[zero_comp]) % n for c in (cp, cq))
         return Fraction(i * (n - j), n)
     raise ValueError(f"no contribution entry for fiber kind {kind!r}")
 
@@ -238,7 +189,7 @@ def height_pairing(model, cfg, p, q=None):
     do = DivisorClass.from_dict(cfg, {model.zero_section: 1})
     total = Fraction(2) + pairing(dp, do, cfg) + pairing(dq, do, cfg) - pairing(dp, dq, cfg)
     for fim in model.reducible_fibers:
-        total -= _local_contribution(fim, model.zero_section, cfg, p, q)
+        total -= _local_contribution(fim, model.zero_section, p, q)
     return total
 
 
@@ -303,9 +254,9 @@ def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """E = D + a*R + b*C with a, b > 0 and D effective (possibly zero)."""
+    """E = D + a*R + b*C with a, b > 0 and D effective (possibly zero);
+    D is not stated but derived as E - a*R - b*C."""
     e: DivisorClass
-    d: DivisorClass
     a: int
     r_curve: str
     b: int
@@ -314,12 +265,10 @@ class Decomposition:
     def check_shape(self, cfg):
         if self.a <= 0 or self.b <= 0:
             raise EvidenceError("decomposition needs a > 0 and b > 0")
-        if not self.d.is_effective():
+        d = self.e + DivisorClass.from_dict(cfg, {self.r_curve: -self.a}) \
+            + DivisorClass.from_dict(cfg, {self.c_curve: -self.b})
+        if not d.is_effective():
             raise EvidenceError("D part of the decomposition must be effective")
-        rebuilt = self.d + DivisorClass.from_dict(cfg, {self.r_curve: self.a}) \
-            + DivisorClass.from_dict(cfg, {self.c_curve: self.b})
-        if rebuilt != self.e:
-            raise EvidenceError("decomposition does not sum to E")
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,7 @@ def dump_case(inst):
     if inst.triple:
         comments.append(f"NS = {inst.ns_expr}, (rho,a,delta) = {inst.triple}, k = {inst.k}")
     comments.extend(inst.encoding_flags)
-    divisors = [("E1", inst.e1), ("E2", inst.e2)]
+    divisors = [("E1", inst.dec1.e), ("E2", inst.dec2.e)]
     text = dump_config(inst.cfg, divisors, comments)
     extra = []
     if inst.fixed_curves:

@@ -22,10 +22,9 @@ from .exactlinalg import (
     identity,
     mat_mul,
     poly_derivative,
-    poly_divmod_exact,
     poly_mul,
     poly_primitive,
-    poly_pseudo_remainder,
+    poly_pseudo_divmod,
     poly_trim,
     transpose,
 )
@@ -51,9 +50,7 @@ def cyclotomic(n):
     p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, rem = poly_divmod_exact(p, cyclotomic(d))
-            assert rem == []
-            p = q
+            p, _ = poly_pseudo_divmod(p, cyclotomic(d))
     return tuple(p)
 
 
@@ -96,7 +93,7 @@ def strip_cyclotomic_factors(p):
     for n in _cyclotomic_orders(len(p) - 1):
         phi = cyclotomic(n)
         while len(phi) <= len(p):
-            q, rem = poly_divmod_exact(p, phi)
+            q, rem = poly_pseudo_divmod(p, phi)
             if rem:
                 break
             p = q
@@ -120,7 +117,7 @@ def sturm_sequence(p):
     """
     seq = [list(p), poly_primitive(poly_derivative(p))]
     while len(seq[-1]) > 1:
-        rem = poly_pseudo_remainder(seq[-2], seq[-1])
+        _, rem = poly_pseudo_divmod(seq[-2], seq[-1])
         if not rem:
             break
         seq.append([-c for c in poly_primitive(rem)])
@@ -231,9 +228,7 @@ def squarefree_part(p):
     if len(g) <= 1:
         q = poly_primitive(p)
     else:
-        q, rem = poly_divmod_exact(p, g)
-        assert rem == []
-        q = poly_primitive(q)
+        q = poly_primitive(poly_pseudo_divmod(p, g)[0])
     return [-c for c in q] if q and q[-1] < 0 else q
 
 
@@ -242,7 +237,7 @@ def _int_poly_gcd(a, b):
     pseudo-remainder sequence."""
     a, b = poly_primitive(poly_trim(a)), poly_primitive(poly_trim(b))
     while b:
-        a, b = b, poly_primitive(poly_pseudo_remainder(a, b))
+        a, b = b, poly_primitive(poly_pseudo_divmod(a, b)[1])
     return a
 
 

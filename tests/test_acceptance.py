@@ -108,12 +108,12 @@ def test_criterion_2_certificate_replay():
     for rec in builtin_cases():
         for p in rec.param_values:
             inst = rec.instantiate(p)
-            for e in (inst.e1, inst.e2):
+            for e in (inst.dec1.e, inst.dec2.e):
                 side_ok = side_ok and pairing(e, e, inst.cfg) == 0
                 kind = classify_fiber(inst.cfg, e.support(inst.cfg)).kind
                 expected = EXPECTED_KINDS[rec.case_id]
                 side_ok = side_ok and kind == expected
-            side_ok = side_ok and pairing(inst.e1, inst.e2, inst.cfg) > 0
+            side_ok = side_ok and pairing(inst.dec1.e, inst.dec2.e, inst.cfg) > 0
     failing = [f"{r.case_id}[{r.param}]" for r in reports if r.status != "PASS"]
     _report(2, "verify-all-16-rows",
             rows_ok and others_pass and singular_ok and side_ok
@@ -172,7 +172,7 @@ def test_criterion_3_surgered_fibration_replay():
         inst = get_case("singular-k3").instantiate(variant)
         counts = [len(supp) for _, _, supp in inst.phi_fibers]
         parts_ok = parts_ok and shioda_tate_rank(inst.rho, counts) == rank
-        for label, e, d in (("E1", inst.e1, "D1"), ("E2", inst.e2, "D2")):
+        for label, e, d in (("E1", inst.dec1.e, "D1"), ("E2", inst.dec2.e, "D2")):
             fiber = classify_fiber(inst.cfg, e.support(inst.cfg))
             parts_ok = parts_ok and fiber.kind == "I12*"
             parts_ok = parts_ok and len(fiber.multiplicities) == 17

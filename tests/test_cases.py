@@ -43,11 +43,11 @@ def test_record_inventory():
 
 def test_records_match_lattice_invariants():
     for rec in builtin_cases():
-        if rec.ns_expr is None:
-            continue
-        inv = two_elementary_invariants(gram_of(rec.ns_expr))
-        assert (inv.rank, inv.a, inv.delta) == rec.triple
         inst = rec.instantiate(rec.param_values[0])
+        if inst.ns_expr is None:
+            continue
+        inv = two_elementary_invariants(gram_of(inst.ns_expr))
+        assert (inv.rank, inv.a, inv.delta) == inst.triple
         assert inst.k == fixed_locus_component_count(inv.rank, inv.a)
 
 
@@ -60,11 +60,11 @@ def test_concrete_cases_pass(case_id):
 @pytest.mark.parametrize("case_id", CONCRETE_IDS)
 def test_candidate_types_and_products(case_id):
     inst = get_case(case_id).instantiate()
-    for e in (inst.e1, inst.e2):
+    for e in (inst.dec1.e, inst.dec2.e):
         assert pairing(e, e, inst.cfg) == 0
         kind = classify_fiber(inst.cfg, e.support(inst.cfg)).kind
         assert kind == EXPECTED_E_KINDS[case_id]
-    assert pairing(inst.e1, inst.e2, inst.cfg) > 0
+    assert pairing(inst.dec1.e, inst.dec2.e, inst.cfg) > 0
 
 
 @pytest.mark.parametrize("case_id", CONCRETE_IDS)
@@ -78,7 +78,7 @@ def test_planned_evidence_kinds(case_id):
 @pytest.mark.parametrize("t", [0, 1, 2])
 def test_rho11_template(t):
     inst = get_case("rho11").instantiate(t)
-    assert pairing(inst.e1, inst.e2, inst.cfg) == t + 2
+    assert pairing(inst.dec1.e, inst.dec2.e, inst.cfg) == t + 2
     rep = verify_case(inst)
     assert rep.status == "PASS", rep.checks
     details = {n: d for n, s, d in rep.checks if s == "PASS"}
@@ -96,15 +96,15 @@ def test_singular_k3_structure(variant):
     inst = get_case("singular-k3").instantiate(variant)
     rep = verify_case(inst)
     checks = {n: (s, d) for n, s, d in rep.checks}
-    fiber = classify_fiber(inst.cfg, inst.e1.support(inst.cfg))
+    fiber = classify_fiber(inst.cfg, inst.dec1.e.support(inst.cfg))
     assert fiber.kind == "I12*"
     assert len(fiber.multiplicities) == 17
     assert sorted(fiber.multiplicities.values()) == [1] * 4 + [2] * 13
     from k3cert.curves import DivisorClass
     for s in ("a8", "b8"):
         sec = DivisorClass.from_dict(inst.cfg, {s: 1})
-        assert pairing(sec, inst.e1, inst.cfg) == 1
-        assert pairing(sec, inst.e2, inst.cfg) == 1
+        assert pairing(sec, inst.dec1.e, inst.cfg) == 1
+        assert pairing(sec, inst.dec2.e, inst.cfg) == 1
     assert checks["shioda-tate"][0] == "PASS"
     expected_rank = 2 if variant == "none" else 1
     assert str(expected_rank) in checks["shioda-tate"][1]

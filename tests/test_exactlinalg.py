@@ -23,9 +23,8 @@ from k3cert.exactlinalg import (
     inertia,
     kernel_basis,
     mat_mul,
-    poly_divmod_exact,
     poly_mul,
-    poly_pseudo_remainder,
+    poly_pseudo_divmod,
     smith_normal_form,
     transpose,
 )
@@ -390,7 +389,7 @@ def test_kernel_basis_annihilates():
        st.lists(st.integers(-9, 9), min_size=1, max_size=5))
 def test_poly_divmod_roundtrip(p, q):
     q = q + [1]  # monic divisor
-    quo, rem = poly_divmod_exact(p, q)
+    quo, rem = poly_pseudo_divmod(p, q)
     rebuilt = poly_mul(quo, q)
     n = max(len(p), len(rebuilt), len(rem))
     total = [(rebuilt[i] if i < len(rebuilt) else 0)
@@ -404,28 +403,30 @@ def test_poly_divmod_roundtrip(p, q):
     assert len(rem) < len(q)
 
 
-def test_poly_divmod_exact_by_a_primitive_divisor():
+def test_poly_pseudo_divmod_by_a_primitive_divisor():
     # (2x + 3)(3x^2 - x + 1) divided by the non-monic 2x + 3
-    assert poly_divmod_exact(poly_mul([3, 2], [1, -1, 3]), [3, 2]) == ([1, -1, 3], [])
-    with pytest.raises(ValueError):
-        poly_divmod_exact([1, 0, 1], [3, 2])
+    assert poly_pseudo_divmod(poly_mul([3, 2], [1, -1, 3]), [3, 2]) == ([1, -1, 3], [])
+    assert poly_pseudo_divmod(poly_mul([3, 2], [1, -1, 3]), [-3, -2]) == ([-1, 1, -3], [])
+    # inexact: 4(x^2 + 1) = (2x - 3)(2x + 3) + 13
+    assert poly_pseudo_divmod([1, 0, 1], [3, 2]) == ([-3, 2], [13])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7),
        st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda q: q[-1] != 0))
-def test_poly_pseudo_remainder_is_a_positive_multiple_of_the_remainder(p, q):
+def test_poly_pseudo_divmod_is_a_positive_multiple_of_the_division(p, q):
     import sympy
     x = sympy.Symbol("x")
-    r = poly_pseudo_remainder(p, q)
-    want = sympy.rem(sympy.Poly(p[::-1], x), sympy.Poly(q[::-1], x), domain="QQ")
-    got = sympy.Poly(r[::-1], x, domain="QQ")
-    assert len(r) < len(q) and all(isinstance(c, int) for c in r)
-    if want.is_zero:
-        assert r == []
-    else:
-        ratio = got.LC() / want.LC()
-        assert ratio > 0 and got == want * ratio
+    quo, r = poly_pseudo_divmod(p, q)
+    want_q, want_r = sympy.div(sympy.Poly(p[::-1], x), sympy.Poly(q[::-1], x), domain="QQ")
+    got_q = sympy.Poly(quo[::-1], x, domain="QQ")
+    got_r = sympy.Poly(r[::-1], x, domain="QQ")
+    assert len(r) < len(q) and all(isinstance(c, int) for c in quo + r)
+    if want_q.is_zero:
+        assert quo == [] and got_r == want_r
+        return
+    ratio = got_q.LC() / want_q.LC()
+    assert ratio > 0 and got_q == want_q * ratio and got_r == want_r * ratio
 
 
 def test_tuple_of_tuples_matrices():

@@ -210,6 +210,73 @@ def test_contribution_table_symmetry():
     assert all(0 <= v <= Fraction(n, 4) for v in values)
 
 
+def _chain(names):
+    return [(a, b, 1) for a, b in zip(names, names[1:])]
+
+
+def _fiber_shapes():
+    """(label, component names, meetings) of I2-I9, I0*-I4*, IV*, III*
+    and II*, each listed in construction order."""
+    shapes = [("I2", ["c0", "c1"], [("c0", "c1", 2)])]
+    for n in range(3, 10):
+        cyc = [f"c{i}" for i in range(n)]
+        shapes.append((f"I{n}", cyc, _chain(cyc) + [(cyc[-1], cyc[0], 1)]))
+    for b in range(5):
+        chain = [f"m{i}" for i in range(b + 1)]
+        leaves = [("p1", chain[0]), ("p2", chain[0]), ("q1", chain[-1]), ("q2", chain[-1])]
+        shapes.append((f"I{b}*", chain + [x for x, _ in leaves],
+                       _chain(chain) + [(x, m, 1) for x, m in leaves]))
+    for label, arms in (("IV*", (2, 2, 2)), ("III*", (1, 3, 3)), ("II*", (1, 2, 5))):
+        names, meets = ["z"], []
+        for k, length in enumerate(arms):
+            arm = [f"a{k}{i}" for i in range(length)]
+            names += arm
+            meets += _chain(["z"] + arm)
+        shapes.append((label, names, meets))
+    return shapes
+
+
+def _all_heights(names, meets):
+    """<P, Q> for every placement of O, P, Q on multiplicity-1 components."""
+    cfg = make_config(["O", "P", "Q"] + names, meets)
+    fiber = classify_fiber(cfg, names)
+    ones = sorted(c for c, m in fiber.multiplicities.items() if m == 1)
+    heights = {}
+    for o in ones:
+        for p in ones:
+            for q in ones:
+                fim = FiberInModel(fiber, {"O": o, "P": p, "Q": q})
+                model = FibrationModel(rho=20, fiber_class=DivisorClass.from_dict(cfg, {}),
+                                       zero_section="O", sections=("O", "P", "Q"),
+                                       reducible_fibers=(fim,))
+                heights[o, p, q] = height_pairing(model, cfg, "P", "Q")
+    return fiber.kind, heights
+
+
+def test_height_ignores_support_order_and_cycle_direction():
+    rng = random.Random(14)
+    for label, names, meets in _fiber_shapes():
+        kind, want = _all_heights(names, meets)
+        assert kind == ("I2/III" if label == "I2" else label)
+        orders = [rng.sample(names, len(names)) for _ in range(3)]
+        if label.startswith("I") and not label.endswith("*"):
+            orders.append(names[::-1])
+        for order in orders:
+            assert _all_heights(order, meets) == (kind, want), (label, order)
+
+
+def test_height_rejects_zero_section_off_multiplicity_one():
+    # IV*: O on the centre z of multiplicity 3
+    names, meets = ["z"], []
+    for k in range(3):
+        meets += _chain(["z", f"a{k}0", f"a{k}1"])
+        names += [f"a{k}0", f"a{k}1"]
+    model, cfg = _two_section_model(fibers=[(names, meets)],
+                                    incidences=[{"O": "z", "P": "a01"}])
+    with pytest.raises(EvidenceError, match="section O meets component z of multiplicity 3"):
+        height_pairing(model, cfg, "P")
+
+
 # ---------------------------------------------------------------------------
 # infinite order certificates: the section plans of mw_evidence
 
@@ -258,10 +325,8 @@ def _toy_certificate():
     cfg = make_config(names, meets)
     e1 = DivisorClass.from_dict(cfg, {"C": 1, "R": 1, "A": 1, "B": 1})
     e2 = DivisorClass.from_dict(cfg, {"C": 1, "R": 1, "A'": 1, "B'": 1})
-    dec1 = Decomposition(e1, DivisorClass.from_dict(cfg, {"A": 1, "B": 1}),
-                         1, "R", 1, "C")
-    dec2 = Decomposition(e2, DivisorClass.from_dict(cfg, {"A'": 1, "B'": 1}),
-                         1, "R", 1, "C")
+    dec1 = Decomposition(e1, 1, "R", 1, "C")
+    dec2 = Decomposition(e2, 1, "R", 1, "C")
     ev = MWEvidence("lemma54-case1", "synthetic")
     return cfg, e1, e2, dec1, dec2, ev
 
@@ -283,8 +348,7 @@ def test_cor32_fails_on_proportional():
 
 def test_cor32_needs_witness_when_r_curves_differ():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    dec2b = Decomposition(e2, DivisorClass.from_dict(cfg, {"R": 1, "B'": 1}),
-                          1, "A'", 1, "C")
+    dec2b = Decomposition(e2, 1, "A'", 1, "C")
     checks = cor32_verify(dec1, dec2b, ev, ev, cfg)
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks}
     # a fixed-pivot witness needs C.R positive for both curves; C.A' = 0 here
@@ -295,8 +359,8 @@ def test_cor32_needs_witness_when_r_curves_differ():
 
 def test_cor32_reports_bad_decomposition():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    bad = Decomposition(e1, DivisorClass.from_dict(cfg, {"A": 1}),
-                        1, "R", 1, "C")
+    # a = 2 on R leaves D = E1 - 2R - C with coefficient -1 on R
+    bad = Decomposition(e1, 2, "R", 1, "C")
     checks = cor32_verify(bad, dec2, ev, ev, cfg)
     assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from k3cert import cli, fileio
-from k3cert.cases import get_case
+from k3cert.cases import builtin_cases, get_case, mutation_kit, run_mutation
 
 SAMPLE = """\
 # a 6-cycle with two sections
@@ -71,8 +71,8 @@ def test_case_dump_reparses(tmp_path):
         text = fileio.dump_case(inst)
         parsed = fileio.parse_config_text(text)
         assert parsed.cfg == inst.cfg
-        assert parsed.divisors["E1"] == inst.e1
-        assert parsed.divisors["E2"] == inst.e2
+        assert parsed.divisors["E1"] == inst.dec1.e
+        assert parsed.divisors["E2"] == inst.dec2.e
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,40 @@ def test_cli_verify_all_json_is_pinned(capsys):
     assert capsys.readouterr().out.endswith("13/16 PASS\n")
 
 
+# sha256 of every `case dump` stdout, of repr(report.checks) of every
+# mutation report, and of `height FILE b8` / `mw rank FILE` on the dumped
+# singular-k3 rows, each joined in builtin order
+PINNED_OUTPUT_SHA256 = {
+    "dumps": "16015fe0c051d6a1fd434e73a4522781cecabf9e70b6f5f5f02aad42ba395b70",
+    "mutations": "35374958a75aae53994f11dea94fb84e92da8ec05c1d875f4681e31f036f2021",
+    "singular-k3-file-ops": "f07c06d78702405779792741854f0b9b51a07d917d2a69bc8c039262bc93a320",
+}
+
+
+def _sha(parts):
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+
+def test_dumps_mutations_and_file_ops_are_pinned(tmp_path, capsys):
+    dumps, file_ops = [], []
+    for rec in builtin_cases():
+        for p in rec.param_values:
+            assert cli.run(["case", "dump", rec.case_id]
+                           + ([] if p is None else ["--param", str(p)])) == 0
+            dumps.append(capsys.readouterr().out)
+            if rec.case_id != "singular-k3":
+                continue
+            path = tmp_path / f"{p}.txt"
+            path.write_text(dumps[-1])
+            for argv in (["height", str(path), "b8"], ["mw", "rank", str(path)]):
+                code = cli.run(argv)
+                file_ops.append(f"{code}\n{capsys.readouterr().out}")
+    assert len(dumps) == 16 and len(file_ops) == 6
+    mutations = [repr(run_mutation(m)[0].checks) for m in mutation_kit()]
+    assert {"dumps": _sha(dumps), "mutations": _sha(mutations),
+            "singular-k3-file-ops": _sha(file_ops)} == PINNED_OUTPUT_SHA256
+
+
 def test_every_error_class_has_the_one_root():
     from k3cert import curves, errors, exactlinalg, fibration, lattices, spectral
     classes = [exactlinalg.NonSquareError, exactlinalg.NonSymmetricError,
@@ -193,10 +227,52 @@ def test_bad_case_selection_exits_2_with_one_line(capsys, argv, message):
     assert captured.err == message
 
 
+# an I0* rfiber off the fiber class E whose incidence puts O on the
+# multiplicity-2 centre m
+CENTRE_ZERO = """\
+curves: O P e1 e2 m l1 l2 l3 l4
+meets: e1 e2 2
+meets: O e1 1
+meets: P e1 1
+meets: m l1 1
+meets: m l2 1
+meets: m l3 1
+meets: m l4 1
+divisor E: e1=1 e2=1
+divisor F: m=2 l1=1 l2=1 l3=1 l4=1
+fibration: fiber=E zero=O rho=10
+sections: O P
+rfiber F: O=m P=l1
+"""
+
+# a 4-cycle fiber I4 with one section O; rho is substituted
+FOUR_CYCLE = """\
+curves: O c0 c1 c2 c3
+meets: c0 c1 1
+meets: c1 c2 1
+meets: c2 c3 1
+meets: c3 c0 1
+meets: O c0 1
+divisor E: c0=1 c1=1 c2=1 c3=1
+fibration: fiber=E zero=O rho={rho}
+sections: O
+rfiber E: O=c0
+"""
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["fiber", "classify", "{file}", "E"], "curves: a b\nmeets: a b 2\ndivisor E: a=-1\n",
      "error: divisor class is not effective\n"),
     (["height", "{file}", "Q"], SAMPLE, None),
+    (["height", "{file}", "P"], SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: P=c2"),
+     "error: no incidence recorded for section O\n"),
+    (["height", "{file}", "P"], CENTRE_ZERO,
+     "error: section O meets component m of multiplicity 2, "
+     "sections meet multiplicity-1 components\n"),
+    (["mw", "rank", "{file}"], FOUR_CYCLE.format(rho=3),
+     "error: fiber list is inconsistent: Shioda-Tate rank would be -2\n"),
+    (["mw", "rank", "{file}"], FOUR_CYCLE.format(rho=1),
+     "error: Picard number must be >= 2 for an elliptic surface\n"),
     (["entropy", "{file}"], "1 2 3\n", "error: matrix does not preserve the form\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
