@@ -264,6 +264,7 @@ rfiber E: O=c0
     (["fiber", "classify", "{file}", "E"], "curves: a b\nmeets: a b 2\ndivisor E: a=-1\n",
      "error: divisor class is not effective\n"),
     (["height", "{file}", "Q"], SAMPLE, None),
+    (["entropy", "{file}"], "1 2 3\n", "error: matrix does not preserve the form\n"),
     (["height", "{file}", "P"], SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: P=c2"),
      "error: no incidence recorded for section O\n"),
     (["height", "{file}", "P"], CENTRE_ZERO,
@@ -273,7 +274,6 @@ rfiber E: O=c0
      "error: fiber list is inconsistent: Shioda-Tate rank would be -2\n"),
     (["mw", "rank", "{file}"], FOUR_CYCLE.format(rho=1),
      "error: Picard number must be >= 2 for an elliptic surface\n"),
-    (["entropy", "{file}"], "1 2 3\n", "error: matrix does not preserve the form\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
