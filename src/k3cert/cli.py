@@ -8,10 +8,11 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from . import cases, fileio, spectral
+from . import fileio, spectral
 from .curves import is_fiber_class
 from .errors import K3CertError
 from .fibration import height_pairing, shioda_tate_rank
@@ -112,6 +113,7 @@ def cmd_entropy(args):
 
 
 def cmd_verify(args):
+    from . import cases  # imported here: the other commands start faster without it
     if not args.all and args.only is None:
         print("error: need --all or --only <id>", file=sys.stderr)
         return EXIT_USAGE
@@ -136,6 +138,7 @@ def cmd_verify(args):
 
 
 def cmd_case(args):
+    from . import cases  # imported here: the other commands start faster without it
     rec = cases.get_case(args.id)
     inst = rec.instantiate(None if args.param is None else _coerce_param(rec, args.param))
     sys.stdout.write(fileio.dump_case(inst))
@@ -149,7 +152,10 @@ def _coerce_param(rec, raw):
     return raw
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process; parse_args returns a fresh Namespace
+    on each call, so run() can reuse it."""
     p = argparse.ArgumentParser(
         prog="k3cert",
         description="Exact lattice and fibration certificates for K3 surfaces")

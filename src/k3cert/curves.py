@@ -1,9 +1,11 @@
 """Configurations of (-2)-curves, divisor classes and Kodaira fiber
 recognition from weighted dual graphs.
 
-A fiber support is accepted when its restricted intersection matrix has
-inertia (0, r-1, 1); the primitive positive kernel vector gives the
-component multiplicities, and the graph shape decides the Kodaira kind.
+A connected fiber support is accepted when the kernel of its restricted
+intersection matrix is spanned by one primitive vector of one sign
+(Zariski's lemma): that vector gives the component multiplicities, and
+the graph shape decides the Kodaira kind.  Inertia is computed only for
+the refusal message.
 Two curves meeting twice cannot be told apart from a tangential meeting
 at the lattice level, so a 2-component fiber is reported as "I2/III".
 """
@@ -11,7 +13,6 @@ at the lattice level, so a 2-component fiber is reported as "I2/III".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import K3CertError
 from .exactlinalg import inertia, kernel_basis
@@ -165,23 +166,17 @@ def classify_fiber(cfg, support):
     idx = [cfg.index(c) for c in support]
     sub = [[cfg.inter[i][j] for j in idx] for i in idx]
     r = len(support)
-    n_plus, n_minus, n_zero = inertia(sub)
-    if (n_plus, n_minus, n_zero) != (0, r - 1, 1):
-        raise FiberError(
-            f"intersection matrix has inertia {(n_plus, n_minus, n_zero)}, "
-            f"not the fiber signature (0, {r-1}, 1)")
+    # The diagonal is -2 and the support is connected, so the off-diagonal
+    # part is nonnegative and irreducible.  By Perron-Frobenius the
+    # signature is (0, r-1, 1) exactly when the kernel is one line spanned
+    # by a positive vector; kernel_basis makes that vector primitive and
+    # positive at its free column.
     kern = kernel_basis(sub)
-    assert len(kern) == 1
-    mult = kern[0]
-    if all(x <= 0 for x in mult):
-        mult = [-x for x in mult]
-    if any(x <= 0 for x in mult):
-        raise FiberError("kernel vector is not positive")
-    g = 0
-    for x in mult:
-        g = gcd(g, x)
-    mult = [x // g for x in mult]
-    mults = dict(zip(support, mult))
+    if len(kern) != 1 or any(x <= 0 for x in kern[0]):
+        raise FiberError(
+            f"intersection matrix has inertia {inertia(sub)}, "
+            f"not the fiber signature (0, {r-1}, 1)")
+    mults = dict(zip(support, kern[0]))
 
     simple_degrees = {c: len(adj[c]) for c in support}
 

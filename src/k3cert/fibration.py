@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import DivisorClass, FiberError, fiber_class_verdict, is_fiber_class, pairing
+from .curves import (
+    ConfigError,
+    DivisorClass,
+    FiberError,
+    fiber_class_verdict,
+    is_fiber_class,
+    pairing,
+)
 from .errors import K3CertError
 
 
@@ -313,7 +320,7 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
             dec.check_shape(cfg)
             checks.append(Check(f"decomposition-E{i}", "PASS",
                                 "E = D + a*R + b*C with a,b > 0"))
-        except EvidenceError as exc:
+        except (EvidenceError, ConfigError) as exc:
             checks.append(Check(f"decomposition-E{i}", "FAIL", str(exc)))
     if dec1.c_curve != dec2.c_curve:
         checks.append(Check("same-pivot", "FAIL",
@@ -336,24 +343,27 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
     r1, r2 = dec1.r_curve, dec2.r_curve
     checks.append(Check.of("pivot-distinct", c != r1 and c != r2,
                            f"C={c}, R1={r1}, R2={r2}"))
-    dc = DivisorClass.from_dict(cfg, {c: 1})
-    if r1 == r2:
-        v = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
-        checks.append(Check.of("common-point", v > 0, f"R1 = R2 and C.R1 = {v}"))
-    elif witness is None:
-        checks.append(Check("common-point", "FAIL",
-                            "R1 != R2 but no triple-point witness declared"))
-    else:
-        cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
-        cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-        if witness.kind == "fixed-pivot":
-            checks.append(Check.of(
-                "common-point", cr1 > 0 and cr2 > 0,
-                f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
+    try:
+        dc = DivisorClass.from_dict(cfg, {c: 1})
+        if r1 == r2:
+            v = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
+            checks.append(Check.of("common-point", v > 0, f"R1 = R2 and C.R1 = {v}"))
+        elif witness is None:
+            checks.append(Check("common-point", "FAIL",
+                                "R1 != R2 but no triple-point witness declared"))
         else:
-            rr = pairing(DivisorClass.from_dict(cfg, {r1: 1}),
-                         DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-            checks.append(Check.of(
-                "common-point", cr1 > 0 and cr2 > 0 and rr > 0,
-                f"declared witness: C.R1 = {cr1}, C.R2 = {cr2}, R1.R2 = {rr}"))
+            cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
+            cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
+            if witness.kind == "fixed-pivot":
+                checks.append(Check.of(
+                    "common-point", cr1 > 0 and cr2 > 0,
+                    f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
+            else:
+                rr = pairing(DivisorClass.from_dict(cfg, {r1: 1}),
+                             DivisorClass.from_dict(cfg, {r2: 1}), cfg)
+                checks.append(Check.of(
+                    "common-point", cr1 > 0 and cr2 > 0 and rr > 0,
+                    f"declared witness: C.R1 = {cr1}, C.R2 = {cr2}, R1.R2 = {rr}"))
+    except ConfigError as exc:  # C, R1 or R2 is not a curve of the configuration
+        checks.append(Check("common-point", "FAIL", str(exc)))
     return tuple(checks)

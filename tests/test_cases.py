@@ -1,6 +1,8 @@
 """The built-in case records, the verification pipeline, the Q-basis
 determinant and the negative-control mutations."""
 
+from dataclasses import replace
+
 import pytest
 
 from k3cert.cases import (
@@ -114,6 +116,15 @@ def test_singular_k3_structure(variant):
                                         "height-positive: <P,P> = 0 is not positive")
     failing = [n for n, s, d in rep.checks if s == "FAIL"]
     assert failing == ["mw-evidence-E1", "mw-evidence-E2"]
+
+
+def test_unknown_curve_in_a_decomposition_is_reported():
+    inst = get_case("rho12").instantiate(None)
+    bad = replace(inst, dec1=replace(inst.dec1, r_curve="nosuch"))
+    rep = verify_case(bad)
+    assert rep.status == "FAIL"
+    first = next(c for c in rep.checks if c.status == "FAIL")
+    assert first == ("decomposition-E1", "FAIL", "unknown curve 'nosuch'")
 
 
 def test_verify_all_rows_and_expectations():

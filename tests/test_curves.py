@@ -115,8 +115,15 @@ def test_classify_affine_e_shapes():
 
 def test_classify_rejects_non_fibers():
     cfg = chain_config(["a", "b", "c"])
-    with pytest.raises(FiberError):
+    with pytest.raises(FiberError) as exc:
         classify_fiber(cfg, ["a", "b", "c"])  # A3 chain: negative definite
+    assert str(exc.value) == ("intersection matrix has inertia (0, 3, 0), "
+                              "not the fiber signature (0, 2, 1)")
+    cfg3 = make_config(["a", "b"], [("a", "b", 3)])
+    with pytest.raises(FiberError) as exc:
+        classify_fiber(cfg3, ["a", "b"])  # meeting 3 times: hyperbolic
+    assert str(exc.value) == ("intersection matrix has inertia (1, 1, 0), "
+                              "not the fiber signature (0, 1, 1)")
     cfg2 = make_config(["a", "b"], [])
     with pytest.raises(FiberError):
         classify_fiber(cfg2, ["a", "b"])  # disconnected

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3cert.exactlinalg import (
@@ -351,10 +351,12 @@ def test_import_does_no_prime_search():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import k3cert.cli, k3cert.exactlinalg as x; print(len(x._PRIMES))"
+    code = ("import sys, k3cert.cli, k3cert.exactlinalg as x; "
+            "print(len(x._PRIMES), 'k3cert.cases' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout == "0\n"
+    # no primes are searched, and the case records are not loaded
+    assert out.stdout == "0 False\n"
 
 
 def test_char_poly_constant_term_is_det():
@@ -566,18 +568,84 @@ def test_kernel_matches_fraction_reference_on_rectangular_matrices():
 def test_fiber_matrices_of_verify_all_match_fraction_reference(monkeypatch):
     from k3cert import cases, curves
     seen = set()
-    real = curves.inertia
+    real = curves.kernel_basis
 
     def record(m):
         seen.add(tuple(map(tuple, m)))
         return real(m)
-    monkeypatch.setattr(curves, "inertia", record)
+    monkeypatch.setattr(curves, "kernel_basis", record)
     cases.verify_all()
     assert len(seen) > 20
     for key in seen:
         m = [list(row) for row in key]
         assert inertia(m) == _frac_inertia(m)
         assert kernel_basis(m) == _frac_kernel_basis(m)
+
+
+# affine diagrams with r <= 7: I_2 (double bond), I_3..I_7, D~4, D~5, D~6, E~6
+_AFFINE = ([(2, [(0, 1, 2)])]
+           + [(r, [(i, (i + 1) % r, 1) for i in range(r)]) for r in range(3, 8)]
+           + [(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]),
+              (6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 4, 1), (1, 5, 1)]),
+              (7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (0, 4, 1), (2, 5, 1), (2, 6, 1)]),
+              (7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)])])
+
+
+@st.composite
+def _connected_curve_matrices(draw):
+    """Symmetric, diagonal -2, off-diagonal entries in 0..4, connected.
+    Half are random (every node after the first meets an earlier one);
+    half are an affine diagram, relabelled, with one pair possibly
+    re-weighted to 1..4, so fibers and near-fibers both occur."""
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 7))
+        weight = st.sampled_from((0, 0, 0, 1, 1, 2, 3, 4))
+        m = [[-2 if i == j else 0 for j in range(r)] for i in range(r)]
+        for j in range(1, r):
+            parent = draw(st.integers(0, j - 1))
+            for i in range(j):
+                m[i][j] = m[j][i] = draw(st.integers(1, 4) if i == parent else weight)
+        return m
+    r, edges = draw(st.sampled_from(_AFFINE))
+    perm = draw(st.permutations(range(r)))
+    m = [[-2 if i == j else 0 for j in range(r)] for i in range(r)]
+    for i, j, k in edges:
+        m[perm[i]][perm[j]] = m[perm[j]][perm[i]] = k
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        m[i][j] = m[j][i] = draw(st.integers(1, 4))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_curve_matrices())
+# two double bonds, or two triangles, joined through one curve: the
+# kernel is one line, but its vector (the difference of the two fibers'
+# null vectors) has mixed signs
+@example([[-2, 1, 0, 1, 0], [1, -2, 2, 0, 0], [0, 2, -2, 0, 0],
+          [1, 0, 0, -2, 2], [0, 0, 0, 2, -2]])
+@example([[-2, 0, 0, 0, 1, 1, 1], [0, -2, 1, 1, 1, 0, 0], [0, 1, -2, 1, 0, 0, 0],
+          [0, 1, 1, -2, 0, 0, 0], [1, 1, 0, 0, -2, 0, 0], [1, 0, 0, 0, 0, -2, 1],
+          [1, 0, 0, 0, 0, 1, -2]])
+def test_classify_fiber_accepts_exactly_the_fiber_signature(m):
+    from k3cert.curves import FiberError, classify_fiber, make_config
+    r = len(m)
+    names = [f"c{i}" for i in range(r)]
+    cfg = make_config(names, [(names[i], names[j], m[i][j])
+                              for i in range(r) for j in range(i + 1, r) if m[i][j]])
+    signature = _frac_inertia(m)
+    try:
+        fiber = classify_fiber(cfg, names)
+    except FiberError as exc:
+        # every refusal of a connected support is the signature refusal
+        assert signature != (0, r - 1, 1), m
+        assert str(exc) == (f"intersection matrix has inertia {signature}, "
+                            f"not the fiber signature (0, {r - 1}, 1)")
+    else:
+        assert signature == (0, r - 1, 1), m
+        mult = [fiber.multiplicities[c] for c in names]
+        assert all(x > 0 for x in mult)
+        assert all(sum(a * x for a, x in zip(row, mult)) == 0 for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -359,10 +359,14 @@ def test_cor32_needs_witness_when_r_curves_differ():
 
 def test_cor32_reports_bad_decomposition():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    # a = 2 on R leaves D = E1 - 2R - C with coefficient -1 on R
-    bad = Decomposition(e1, 2, "R", 1, "C")
-    checks = cor32_verify(bad, dec2, ev, ev, cfg)
-    assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
+    # a = 2 on R leaves D = E1 - 2R - C with coefficient -1 on R; a curve
+    # the configuration lacks is reported, not raised
+    for bad in (Decomposition(e1, 2, "R", 1, "C"), Decomposition(e1, 1, "nosuch", 1, "C"),
+                Decomposition(e1, 1, "R", 1, "nosuch")):
+        checks = cor32_verify(bad, dec2, ev, ev, cfg)
+        assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
+    # the common-point check needs the unknown pivot, so it fails too
+    assert Check("common-point", "FAIL", "unknown curve 'nosuch'") in checks
 
 
 def test_cor32_propagates_evidence_failure():

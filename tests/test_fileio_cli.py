@@ -283,3 +283,26 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message is None or captured.err == message
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = [["verify", "--all", "--json"], ["lattice", "info", "D3"],
+                ["case", "dump", "rho20"]]
+    fresh = {}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "k3cert.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    assert fresh[("lattice", "info", "D3")][0] == 2
+    for argv in commands + commands[:1]:
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
