@@ -5,7 +5,9 @@ sign computation on integer polynomials: Sturm chains and gcds are
 primitive pseudo-remainder sequences over Z, and signs at a rational
 point come from integer Horner.  The spectral radius is refined by
 integer bisection, and floats appear only in the reported radius and
-entropy.
+entropy.  Between elliptic and parabolic, finite order is decided by
+whether the product of the distinct cyclotomic factors of the
+characteristic polynomial kills the map, on exact Krylov vectors.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import K3CertError
 from .exactlinalg import (
     char_poly,
     dims,
-    identity,
     mat_mul,
     poly_derivative,
     poly_mul,
@@ -352,17 +354,20 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     and one Sturm chain of its trace polynomial give both the Salem
     certificate and the position of the eigenvalues off the unit circle;
     the radius is the largest real root of s, or of s(x) s(-x) when it
-    may be negative, refined by exact bisection.  Otherwise let N be the
-    lcm of the orders n of the cyclotomic factors Phi_n: the map is
-    elliptic of order exactly N when m^N = I, by one exact matrix power,
-    and parabolic when not.  Raises K3CertError when the form is
-    degenerate (the characteristic polynomial is not reciprocal) and when
-    eigenvalues off the unit circle are not real, which no isometry of
-    signature (1, n-1) has.
+    may be negative, refined by exact bisection.  Otherwise the
+    characteristic polynomial is a product of cyclotomic Phi_n, and the
+    map is elliptic, of order exactly the lcm N of those n, when the
+    radical f, the product of the distinct Phi_n, kills m, and parabolic
+    when not: f is squarefree and divides x^N - 1, so f(m) = 0 exactly
+    when m is semisimple, that is of finite order.  f(m) = 0 is decided on
+    Krylov vectors by matrix-vector products (_killed_by); no power of m
+    is formed.  Raises K3CertError when the form is degenerate (the
+    characteristic polynomial is not reciprocal) and when eigenvalues off
+    the unit circle are not real, which no isometry of signature (1, n-1)
+    has.
     """
     if not is_isometry(m, g):
         raise NotIsometryError("matrix does not preserve the form")
-    n = len(m)
     p = char_poly(m)
     if not is_reciprocal(p):
         # M^T G M = G with G invertible makes M conjugate to its inverse
@@ -400,24 +405,64 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
             salem_factor=factor,
             order=None,
             no_salem_reason=reason)
-    order = 1
+    order, radical = 1, [1]
     for k in orders:
         order = order * k // math.gcd(order, k)
-    if _mat_pow(m, order) == identity(n):
+    for k in set(orders):
+        radical = poly_mul(radical, cyclotomic(k))
+    if _killed_by(m, radical):
         # each n in orders gives a primitive n-th root of unity as an
         # eigenvalue, so n divides every k with m^k = I: order is exact
         return EntropyReport(1.0, (Fraction(1), Fraction(1)), 0.0, "elliptic", None, order)
     return EntropyReport(1.0, (Fraction(1), Fraction(1)), 0.0, "parabolic", None, None)
 
 
-def _mat_pow(m, k):
-    n = len(m)
-    out = identity(n)
-    base = [row[:] for row in m]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return out
+# A prime below 2**30, so that a residue is one CPython digit.
+_RANK_PRIME = 2**30 - 35
+
+
+def _killed_by(m, f):
+    """Whether f(M) = 0, exactly, for a monic f of degree d >= 1.
+
+    f(M) commutes with M, so it kills the whole Krylov space of every
+    vector it kills.  Start vectors v_k = ((i + 1)^k)_i are tried in turn:
+    f(M) v_k = sum_j f_j M^j v_k from exact matrix-vector products, and a
+    nonzero sum refutes f(M) = 0.  Once the Krylov vectors M^j v_k,
+    j < d, of the vectors that passed have rank n modulo one prime p > n,
+    they span Q^n (rank mod p <= rank over Q), and f(M) = 0.  The v_k are
+    the rows of a Vandermonde matrix whose nodes 1 ... n stay distinct
+    mod p, so v_0 ... v_(n-1) span Q^n, and already do mod p: the rank
+    reaches n by k = n - 1 at the latest.
+    """
+    n, p = len(m), _RANK_PRIME
+    echelon = {}  # pivot column -> the row mod p from there on, led by 1
+    for k in range(n):
+        w = [(i + 1) ** k for i in range(n)]
+        total = [f[0] * x for x in w]
+        krylov = [w]
+        for c in f[1:]:
+            w = [sum(map(mul, row, w)) for row in m]
+            if c:
+                total = [t + c * x for t, x in zip(total, w)]
+            krylov.append(w)
+        if any(total):
+            return False
+        krylov.pop()  # M^d v_k is a combination of the others now
+        for w in krylov:
+            _add_to_echelon(echelon, w, p)
+            if len(echelon) == n:
+                return True
+    return True  # not reached: v_0 ... v_(n-1) passed and span Q^n
+
+
+def _add_to_echelon(echelon, w, p):
+    """Reduce w modulo p against the echelon rows and keep what is left."""
+    w = [x % p for x in w]
+    for col in sorted(echelon):
+        c = w[col]
+        if c:
+            w[col:] = [(x - c * y) % p for x, y in zip(w[col:], echelon[col])]
+    col = next((i for i, x in enumerate(w) if x), None)
+    if col is not None:
+        inv = pow(w[col], -1, p)
+        echelon[col] = [x * inv % p for x in w[col:]]

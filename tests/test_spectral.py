@@ -15,9 +15,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cert import cli, spectral
+from k3cert import cli, exactlinalg, spectral
 from k3cert.errors import K3CertError
-from k3cert.exactlinalg import char_poly, identity, mat_mul, transpose
+from k3cert.exactlinalg import char_poly, identity, mat_mul, poly_mul, transpose
 from k3cert.lattices import gram_of
 from k3cert.spectral import (
     NotIsometryError,
@@ -39,6 +39,8 @@ from k3cert.spectral import (
 G3 = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
 # discovered by exhaustive search: smallest-trace hyperbolic example
 M_HYP = [[0, 1, 0], [1, 4, -4], [0, -2, 1]]
+# unipotent isometry: char poly (x-1)^3, infinite order
+M_PAR = [[1, 0, 0], [1, 1, 2], [1, 0, 1]]
 
 
 def test_is_isometry_basics():
@@ -64,7 +66,6 @@ def test_cyclotomic_polynomials():
 def test_strip_cyclotomic():
     # (x-1)^2 (x^2+x+1)
     p = [-1, 1]
-    from k3cert.exactlinalg import poly_mul
     full = poly_mul(poly_mul(p, p), [1, 1, 1])
     rest, orders = strip_cyclotomic_factors(full)
     assert rest == [1]
@@ -111,10 +112,8 @@ def test_entropy_elliptic():
 
 
 def test_entropy_parabolic():
-    # unipotent isometry: char poly (x-1)^3, infinite order
-    m = [[1, 0, 0], [1, 1, 2], [1, 0, 1]]
-    assert is_isometry(m, G3)
-    rep = entropy(m, G3)
+    assert is_isometry(M_PAR, G3)
+    rep = entropy(M_PAR, G3)
     assert rep.dynamical_class == "parabolic"
     assert rep.entropy == 0.0 and rep.salem_factor is None
 
@@ -388,6 +387,24 @@ def random_basis(rng, n, steps):
     return s, s_inv
 
 
+def block(name):
+    """finite_block, plus "PAR" and "-PAR": +-M_PAR on U + A1."""
+    if name.endswith("PAR"):
+        sign = -1 if name == "-PAR" else 1
+        return G3, [[sign * x for x in row] for row in M_PAR]
+    return finite_block(name)
+
+
+def in_random_basis(names):
+    """(Gram, isometry) of the block sum, in a basis seeded by the names."""
+    rng = random.Random(" ".join(names))
+    gs, ms = zip(*(block(name) for name in names))
+    g, m = block_diag(*gs), block_diag(*ms)
+    s, s_inv = random_basis(rng, len(m), 3 * len(m))
+    assert mat_mul(s, s_inv) == identity(len(m))
+    return mat_mul(transpose(s), mat_mul(g, s)), mat_mul(s_inv, mat_mul(m, s))
+
+
 def brute_force_order(m):
     ident = identity(len(m))
     power, k = m, 1
@@ -401,16 +418,98 @@ def brute_force_order(m):
     ("E8", "A6", "A4", "-1"), ("+1", "+1"), ("-1", "-1"), ("A2", "A2", "+1"),
 ])
 def test_elliptic_order_is_the_least_period(names):
-    rng = random.Random(" ".join(names))
-    gs, ms = zip(*(finite_block(name) for name in names))
-    g, m = block_diag(*gs), block_diag(*ms)
-    s, s_inv = random_basis(rng, len(m), 3 * len(m))
-    assert mat_mul(s, s_inv) == identity(len(m))
-    g = mat_mul(transpose(s), mat_mul(g, s))
-    m = mat_mul(s_inv, mat_mul(m, s))
+    g, m = in_random_basis(names)
     rep = entropy(m, g)
     assert rep.dynamical_class == "elliptic"
     assert rep.order == brute_force_order(m)
+
+
+def cyclotomic_lcm(m):
+    """lcm of the n with Phi_n dividing the characteristic polynomial, from
+    sympy's charpoly, factor_list and cyclotomic_poly."""
+    out = 1
+    for f, _ in sympy.factor_list(sympy.Matrix(m).charpoly(X).as_expr())[1]:
+        deg = sympy.degree(f, X)
+        n = next(n for n in range(1, 2 * deg * deg + 1)
+                 if sympy.Poly(sympy.cyclotomic_poly(n, X), X) == sympy.Poly(f, X))
+        out = math.lcm(out, n)
+    return out
+
+
+def has_order_dividing(m, k):
+    """m^k == I, by exact repeated squaring."""
+    power, base = identity(len(m)), m
+    while k:
+        if k & 1:
+            power = mat_mul(power, base)
+        base, k = mat_mul(base, base), k >> 1
+    return power == identity(len(m))
+
+
+@pytest.mark.parametrize("names", [
+    ("PAR",), ("-PAR",), ("PAR", "A2"), ("PAR", "E8"), ("PAR", "D4", "-1"),
+    ("-PAR", "A6", "+1"), ("PAR", "A6", "A4"), ("PAR", "-PAR"),
+    ("E8", "A4"), ("D4", "A2", "+1"), ("A6", "-1", "-1"),
+])
+def test_class_matches_the_matrix_power_oracle(names):
+    g, m = in_random_basis(names)
+    n = cyclotomic_lcm(m)
+    rep = entropy(m, g)
+    if has_order_dividing(m, n):
+        assert (rep.dynamical_class, rep.order) == ("elliptic", n)
+    else:
+        assert (rep.dynamical_class, rep.order) == ("parabolic", None)
+    assert ("PAR" in " ".join(names)) == (rep.dynamical_class == "parabolic")
+
+
+def test_parabolic_refuted_by_a_later_start_vector():
+    # E8 + M_PAR conjugated by T = I with column 0 all ones: T^-1 maps the
+    # first start vector (1, ..., 1) to e_0 in the E8 block, which the
+    # radical Phi_30 Phi_1 kills, so only v_1 or a later one refutes
+    ge, me = finite_block("E8")
+    g, m = block_diag(ge, G3), block_diag(me, M_PAR)
+    n = len(m)
+    t, t_inv = identity(n), identity(n)
+    for i in range(1, n):
+        t[i][0], t_inv[i][0] = 1, -1
+    m = mat_mul(t, mat_mul(m, t_inv))
+    g = mat_mul(transpose(t_inv), mat_mul(g, t_inv))
+    f = poly_mul(list(cyclotomic(30)), list(cyclotomic(1)))
+    w, total = [1] * n, [0] * n
+    for c in f:
+        total = [x + c * y for x, y in zip(total, w)]
+        w = [sum(a * b for a, b in zip(row, w)) for row in m]
+    assert total == [0] * n
+    rep = entropy(m, g)
+    assert rep.dynamical_class == "parabolic" and rep.order is None
+
+
+def test_killed_by_needs_full_rank():
+    # (1, 1) is fixed by this unipotent m, so x - 1 kills the first start
+    # vector and its Krylov space, a line; the second start vector refutes
+    m = [[0, 1], [-1, 2]]
+    assert not spectral._killed_by(m, [-1, 1])
+    assert spectral._killed_by(m, [1, -2, 1])
+    assert spectral._killed_by(identity(2), [-1, 1])
+
+
+@pytest.mark.parametrize("names,cls", [
+    (("E8", "E8", "A4", "A2"), "elliptic"),
+    (("PAR", "E8", "A6", "A4", "-1"), "parabolic"),
+])
+def test_entropy_forms_no_matrix_power(monkeypatch, names, cls):
+    # the only matrix products are the two of is_isometry
+    g, m = in_random_basis(names)
+    assert len(m) == 22
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+    monkeypatch.setattr(spectral, "mat_mul", counted)
+    assert entropy(m, g).dynamical_class == cls
+    assert len(calls) == 2
+    assert exactlinalg._is_prime(spectral._RANK_PRIME) and 22 < spectral._RANK_PRIME < 2**30
 
 
 @pytest.mark.parametrize("m,g", [
@@ -525,6 +624,26 @@ def iso_file(tmp_path, g, m):
     path = tmp_path / "iso.txt"
     path.write_text(f"{len(g)} " + " ".join(str(x) for row in g + m for x in row) + "\n")
     return str(path)
+
+
+# X -> A X B with A of order 3, eigenvalues the primitive cube roots
+A_CUBE = [[0, -1], [1, -1]]
+
+
+@pytest.mark.parametrize("b,cls,order", [
+    # chi = (x^2 + x + 1)^2 with a Jordan block at each cube root
+    ([[1, 1], [0, 1]], "parabolic", None),
+    # chi = Phi_12
+    ([[0, -1], [1, 0]], "elliptic", 12),
+])
+def test_left_right_classes_on_u_plus_u(b, cls, order):
+    m = left_right(A_CUBE, b)
+    assert is_isometry(m, G_UU)
+    rep = entropy(m, G_UU)
+    assert (rep.dynamical_class, rep.order) == (cls, order)
+    assert has_order_dividing(m, 12) == (cls == "elliptic")
+    if cls == "parabolic":
+        assert char_poly(m) == [1, 2, 3, 2, 1]
 
 
 def test_complex_eigenvalues_off_the_unit_circle_exit_2(tmp_path, capsys):
