@@ -3,7 +3,9 @@
 
 Equivalent to `k3cert verify --all`, plus the Q-basis determinant and
 the negative-control mutations, so one run shows the whole evidence
-surface.
+surface.  Exits 1 when a mutation no longer flips its expected check or
+the Q-basis determinant is 0; the documented singular-k3 FAIL rows do not
+change the exit code.
 """
 
 import sys, os
@@ -27,11 +29,14 @@ def main():
     print(f"qbasis determinant: {det} ({'nonzero' if nonzero else 'ZERO'})")
 
     print("negative controls:")
+    all_flipped = True
     for mut in mutation_kit():
         _, flipped = run_mutation(mut)
+        all_flipped = all_flipped and flipped
         mark = "ok" if flipped else "UNEXPECTED"
         print(f"  {mut.mutation_id:26s} -> {mut.expected_check:20s} [{mark}]")
+    return 0 if nonzero and all_flipped else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -764,7 +764,7 @@ def _mut_drop_component(inst):
 
 
 def _mut_swap_incidence(inst):
-    # rho20: pretend the candidate section meets C6 instead of C3
+    # rho20: declare the candidate section on C6, though it meets C3
     plan = inst.mw_plan
     return replace(inst, mw_plan=replace(
         plan, incidence={**plan.incidence, plan.section: "C6"}))
@@ -805,7 +805,7 @@ def mutation_kit():
                  "removing one cycle component leaves self-intersection -2",
                  _mut_drop_component),
         Mutation("swap-section-incidence", "rho20", None, "mw-evidence-E1",
-                 "sections on different components defeat the additive argument",
+                 "declaring G34 on C6, which it does not meet, fails the incidence check",
                  _mut_swap_incidence),
         Mutation("lower-rho", "rho19", None, "mw-evidence-E1",
                  "with rho = 17 the inequality r < rho - 2 fails",

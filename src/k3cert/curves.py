@@ -114,9 +114,6 @@ def pairing(d1, d2, cfg):
 class KodairaFiber:
     kind: str                 # "I_n" as "In", "I_b*" as "Ib*", "II*", "III*", "IV*", "I2/III"
     multiplicities: dict = field(compare=False)
-    # I_n: each component's index around the cycle; I_b*: each leaf's
-    # branch node, 0 or 1 (always 0 on I0*); empty for the other kinds
-    position: dict = field(default_factory=dict, compare=False)
 
     @property
     def component_count(self):
@@ -185,24 +182,13 @@ def classify_fiber(cfg, support):
     degree = {c: len(adj[c]) for c in support}
     branch = [c for c in support if degree[c] >= 3]
     if not branch:
-        return KodairaFiber(f"I{r}", mults, _cycle_positions(adj, support[0]))
-    leaves = [c for c in support if degree[c] == 1]
+        return KodairaFiber(f"I{r}", mults)
     if len(branch) == 2:
-        return KodairaFiber(f"I{r - 5}*", mults,
-                            {c: branch.index(adj[c][0][0]) for c in leaves})
+        return KodairaFiber(f"I{r - 5}*", mults)
     if degree[branch[0]] == 4:
-        return KodairaFiber("I0*", mults, {c: 0 for c in leaves})
+        return KodairaFiber("I0*", mults)
     # E~6, E~7, E~8: one node of degree 3
     return KodairaFiber({7: "IV*", 8: "III*", 9: "II*"}[r], mults)
-
-
-def _cycle_positions(adj, start):
-    """Index of each component of an I_n cycle, walking from start."""
-    position, prev, cur = {}, None, start
-    while cur not in position:
-        position[cur] = len(position)
-        prev, cur = cur, next(b for b, _ in adj[cur] if b != prev)
-    return position
 
 
 def classify_support(cfg, d):
@@ -274,12 +260,11 @@ def theta_constraints(cfg, fixed_curves, fiber_classes=()):
             if cfg.meet(a, b) != 0:
                 problems.append(f"fixed curves {a} and {b} meet ({cfg.meet(a, b)})")
     csum = DivisorClass.from_dict(cfg, {c: 1 for c in fixed_curves})
-    fixed = set(fixed_curves)
-    for h in cfg.curve_names:
-        if h in fixed:
+    fixed = {cfg.index(c) for c in fixed_curves}
+    for i, (h, row) in enumerate(zip(cfg.curve_names, cfg.inter)):
+        if i in fixed:
             continue
-        hcls = DivisorClass.from_dict(cfg, {h: 1})
-        v = pairing(csum, hcls, cfg)
+        v = sum(row[j] for j in fixed)
         if v != 2:
             problems.append(f"C.{h} = {v}, expected 2")
     for label, f in fiber_classes:

@@ -2,9 +2,11 @@
 positivity evidence by a typed plan, the height pairing and the
 two-fibration inertia-group certificate.
 
-The local height contributions are the standard table for each Kodaira
-type; they ship as data together with self-consistency checks in the
-test suite, since the constructions here never restate them.
+The local height contributions come from Shioda's formula on the
+intersection matrix of each reducible fiber.  A section's declared
+component is checked against the configuration before any use: it is
+the only component of the fiber the section meets, once, and it has
+multiplicity 1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .curves import (
     pairing,
 )
 from .errors import K3CertError
+from .exactlinalg import kernel_basis
 
 
 class EvidenceError(K3CertError):
@@ -65,6 +68,9 @@ class FibrationModel:
             v = pairing(DivisorClass.from_dict(cfg, {s: 1}), self.fiber_class, cfg)
             if v != 1:
                 raise EvidenceError(f"section {s} meets the fiber class {v} times, not 1")
+        for fim in self.reducible_fibers:
+            for s in fim.section_meets:
+                _declared_component(fim, s, cfg)
 
 
 def shioda_tate_rank(rho, component_counts):
@@ -128,55 +134,44 @@ def _lemma54_clauses(e, cfg, fixed_curves, rho):
         f"{len(inside)} of {k} fixed curves in Supp E, need k or k-1")
 
 
-def _local_contribution(fim, zero, p, q):
-    """contr_v(P, Q) for one reducible fiber; zero, p and q are section
-    names.
+def _declared_component(fim, s, cfg):
+    """The component of the fiber that section s is declared to meet,
+    once it is checked against cfg: of multiplicity 1, and the only
+    component s meets, with intersection 1."""
+    if s not in fim.section_meets:
+        raise EvidenceError(f"no incidence recorded for section {s}")
+    comp = fim.section_meets[s]
+    mults = fim.fiber.multiplicities
+    if mults.get(comp) != 1:
+        raise EvidenceError(
+            f"section {s} meets component {comp} of multiplicity "
+            f"{mults.get(comp)}, sections meet multiplicity-1 components")
+    row = cfg.inter[cfg.index(s)]
+    meets = {c: row[cfg.index(c)] for c in mults if row[cfg.index(c)]}
+    if meets != {comp: 1}:
+        terms = ", ".join(f"{s}.{c} = {k}" for c, k in meets.items()) or "all 0"
+        raise EvidenceError(f"section {s} is declared on component {comp}, "
+                            f"but its intersections with the fiber are {terms}")
+    return comp
 
-    Sections, the zero section among them, must sit on multiplicity-1
-    components.  The zero section's component is the identity component.
+
+def _local_contribution(fim, cfg, zero, p, q):
+    """contr_v(P, Q) = e_P^T (-A_v)^-1 e_Q for one reducible fiber
+    (Shioda, On the Mordell-Weil lattices, 1990); zero, p and q are
+    section names.
+
+    A_v is the Gram of the components other than the one the zero section
+    meets, and e_S holds the intersections of S with them.
     """
-    fiber = fim.fiber
-    kind = fiber.kind
-    for s in (zero, p, q):
-        if s not in fim.section_meets:
-            raise EvidenceError(f"no incidence recorded for section {s}")
-        comp = fim.section_meets[s]
-        if fiber.multiplicities.get(comp) != 1:
-            raise EvidenceError(
-                f"section {s} meets component {comp} of multiplicity "
-                f"{fiber.multiplicities.get(comp)}, sections meet multiplicity-1 components")
-    zero_comp = fim.section_meets[zero]
-    cp = fim.section_meets[p]
-    cq = fim.section_meets[q]
-    if cp == zero_comp or cq == zero_comp:
-        return Fraction(0)
-    if kind == "II*":
-        return Fraction(0)
-    if kind == "III*":
-        return Fraction(3, 2)
-    if kind == "IV*":
-        return Fraction(4, 3) if cp == cq else Fraction(2, 3)
-    if kind == "I2/III":
-        # lattice-indistinguishable I2 and III share contr 1/2 only for III;
-        # I2 gives i(n-i)/n = 1/2 as well
-        return Fraction(1, 2)
-    position = fiber.position
-    if kind.endswith("*"):
-        b = int(kind[1:-1])
-        near = lambda c: position[c] == position[zero_comp]
-        if cp == cq:
-            return Fraction(1) if near(cp) else Fraction(1) + Fraction(b, 4)
-        if near(cp) != near(cq):
-            return Fraction(1, 2)
-        if near(cp):
-            # two distinct near non-identity components only exist for b = 0
-            return Fraction(1, 2)
-        return Fraction(2 + b, 4)
-    if kind.startswith("I"):
-        n = int(kind[1:])
-        i, j = sorted((position[c] - position[zero_comp]) % n for c in (cp, cq))
-        return Fraction(i * (n - j), n)
-    raise ValueError(f"no contribution entry for fiber kind {kind!r}")
+    zero_comp = _declared_component(fim, zero, cfg)
+    _declared_component(fim, p, cfg)
+    _declared_component(fim, q, cfg)
+    idx = [cfg.index(c) for c in fim.fiber.multiplicities if c != zero_comp]
+    e_p, e_q = ([cfg.inter[cfg.index(s)][j] for j in idx] for s in (p, q))
+    # (-A_v) x = t e_Q, so (x, t) spans the kernel of [-A_v | -e_Q]
+    [(*x, t)] = kernel_basis([[-cfg.inter[i][j] for j in idx] + [-e]
+                              for i, e in zip(idx, e_q)])
+    return Fraction(sum(a * b for a, b in zip(e_p, x)), t)
 
 
 def height_pairing(model, cfg, p, q=None):
@@ -196,7 +191,7 @@ def height_pairing(model, cfg, p, q=None):
     do = DivisorClass.from_dict(cfg, {model.zero_section: 1})
     total = Fraction(2) + pairing(dp, do, cfg) + pairing(dq, do, cfg) - pairing(dp, dq, cfg)
     for fim in model.reducible_fibers:
-        total -= _local_contribution(fim, model.zero_section, p, q)
+        total -= _local_contribution(fim, cfg, model.zero_section, p, q)
     return total
 
 
@@ -282,14 +277,16 @@ class Decomposition:
 class TriplePointWitness:
     """Input evidence for C ∩ R1 ∩ R2 != 0 when R1 != R2.
 
-    kind "declared": an asserted common point; consistency demands all
-    three pairwise intersection numbers are positive.
     kind "fixed-pivot": the pivot C is pointwise fixed by an automorphism
     g with R2 = g(R1); any point of C ∩ R1 then lies on R2 as well, so
     consistency demands only C.R1 > 0 and C.R2 > 0.
     """
     kind: str
     note: str = ""
+
+    def __post_init__(self):
+        if self.kind != "fixed-pivot":
+            raise EvidenceError(f"unknown triple-point witness {self.kind!r}")
 
 
 class Check(NamedTuple):
@@ -354,16 +351,9 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
         else:
             cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
             cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-            if witness.kind == "fixed-pivot":
-                checks.append(Check.of(
-                    "common-point", cr1 > 0 and cr2 > 0,
-                    f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
-            else:
-                rr = pairing(DivisorClass.from_dict(cfg, {r1: 1}),
-                             DivisorClass.from_dict(cfg, {r2: 1}), cfg)
-                checks.append(Check.of(
-                    "common-point", cr1 > 0 and cr2 > 0 and rr > 0,
-                    f"declared witness: C.R1 = {cr1}, C.R2 = {cr2}, R1.R2 = {rr}"))
+            checks.append(Check.of(
+                "common-point", cr1 > 0 and cr2 > 0,
+                f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
     except ConfigError as exc:  # C, R1 or R2 is not a curve of the configuration
         checks.append(Check("common-point", "FAIL", str(exc)))
     return tuple(checks)

@@ -12,7 +12,10 @@ comment.  Directives, in any order (curves: must precede uses):
 
 The diagonal of the intersection matrix is implied -2.  An `rfiber`
 line names a previously declared divisor; its support is classified and
-the NAME=COMPONENT pairs say which component each section meets.
+the NAME=COMPONENT pairs say which component each section meets.  Each
+pair must agree with the meets: lines: the section meets that component
+once and no other component of the fiber, or FibrationModel.validate
+refuses the file.
 
 Isometry files for the entropy command are whitespace-separated
 integers: first n, then the n*n entries of G row by row, then the n*n

@@ -1,6 +1,7 @@
 """Shioda-Tate, Mordell-Weil positivity evidence, height pairing and the
 two-fibration certificate."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -121,6 +122,8 @@ def _two_section_model(meet_po=0, fibers=(), incidences=(), rho=10):
     for support in fibers:
         support_names += list(support[0])
         meets += support[1]
+    for inc in incidences:
+        meets += [(s, c, 1) for s, c in inc.items()]
     cfg = make_config(names + support_names, meets)
     fims = []
     for (support, _), inc in zip(fibers, incidences):
@@ -155,7 +158,8 @@ def test_height_symmetric_bilinear():
     cyc = [f"c{i}" for i in range(4)]
     edges = [(cyc[i], cyc[(i + 1) % 4], 1) for i in range(4)]
     names = ["O", "P", "Q"] + cyc
-    cfg = make_config(names, edges + [("P", "Q", 1)])
+    cfg = make_config(names, edges + [("P", "Q", 1), ("O", "c0", 1), ("P", "c1", 1),
+                                      ("Q", "c2", 1)])
     fim = FiberInModel(classify_fiber(cfg, cyc),
                        {"O": "c0", "P": "c1", "Q": "c2"})
     model = FibrationModel(rho=8, fiber_class=DivisorClass.from_dict(cfg, {}),
@@ -237,19 +241,19 @@ def _fiber_shapes():
 
 
 def _all_heights(names, meets):
-    """<P, Q> for every placement of O, P, Q on multiplicity-1 components."""
-    cfg = make_config(["O", "P", "Q"] + names, meets)
-    fiber = classify_fiber(cfg, names)
+    """<P, Q> for every placement of O, P, Q on multiplicity-1 components,
+    each section meeting its component once in the configuration."""
+    fiber = classify_fiber(make_config(names, meets), names)
     ones = sorted(c for c, m in fiber.multiplicities.items() if m == 1)
     heights = {}
-    for o in ones:
-        for p in ones:
-            for q in ones:
-                fim = FiberInModel(fiber, {"O": o, "P": p, "Q": q})
-                model = FibrationModel(rho=20, fiber_class=DivisorClass.from_dict(cfg, {}),
-                                       zero_section="O", sections=("O", "P", "Q"),
-                                       reducible_fibers=(fim,))
-                heights[o, p, q] = height_pairing(model, cfg, "P", "Q")
+    for o, p, q in itertools.product(ones, repeat=3):
+        cfg = make_config(["O", "P", "Q"] + names,
+                          meets + [("O", o, 1), ("P", p, 1), ("Q", q, 1)])
+        fim = FiberInModel(fiber, {"O": o, "P": p, "Q": q})
+        model = FibrationModel(rho=20, fiber_class=DivisorClass.from_dict(cfg, {}),
+                               zero_section="O", sections=("O", "P", "Q"),
+                               reducible_fibers=(fim,))
+        heights[o, p, q] = height_pairing(model, cfg, "P", "Q")
     return fiber.kind, heights
 
 
@@ -263,6 +267,54 @@ def test_height_ignores_support_order_and_cycle_direction():
             orders.append(names[::-1])
         for order in orders:
             assert _all_heights(order, meets) == (kind, want), (label, order)
+
+
+def _table_contribution(label, o, p, q):
+    """The standard contr_v(P, Q) table, an oracle for Shioda's formula.
+    It reads the names of _fiber_shapes(): c{i} is the i-th component of
+    an I_n cycle, and the p and q leaves of an I_b* sit at the two ends of
+    its chain."""
+    if o in (p, q):
+        return Fraction(0)
+    if label in ("II*", "III*"):
+        return Fraction(0) if label == "II*" else Fraction(3, 2)
+    if label == "IV*":
+        return Fraction(4, 3) if p == q else Fraction(2, 3)
+    if label.endswith("*"):
+        b = int(label[1:-1])
+        far = [c[0] != o[0] for c in (p, q)]
+        if p == q:
+            return 1 + Fraction(b, 4) * far[0]
+        return Fraction(2 + b, 4) if all(far) else Fraction(1, 2)
+    n = int(label[1:])
+    i, j = sorted((int(c[1:]) - int(o[1:])) % n for c in (p, q))
+    return Fraction(i * (n - j), n)
+
+
+def test_height_matches_the_contribution_table():
+    placements = 0
+    for label, names, meets in _fiber_shapes():
+        _, heights = _all_heights(names, meets)
+        for (o, p, q), h in heights.items():
+            assert h == 2 - _table_contribution(label, o, p, q), (label, o, p, q)
+        placements += len(heights)
+    assert placements == 2380
+
+
+def test_height_refuses_a_section_meeting_two_components_or_one_twice():
+    names = [f"c{i}" for i in range(6)]
+    cycle = [(a, b, 1) for a, b in zip(names, names[1:] + names[:1])]
+    for extra, terms in (([("P", "c2", 1), ("P", "c3", 1)], "P.c2 = 1, P.c3 = 1"),
+                         ([("P", "c2", 2)], "P.c2 = 2"), ([], "all 0")):
+        cfg = make_config(["O", "P"] + names, cycle + [("O", "c0", 1)] + extra)
+        fim = FiberInModel(classify_fiber(cfg, names), {"O": "c0", "P": "c2"})
+        model = FibrationModel(rho=10, fiber_class=DivisorClass.from_dict(cfg, {}),
+                               zero_section="O", sections=("O", "P"),
+                               reducible_fibers=(fim,))
+        with pytest.raises(EvidenceError) as exc:
+            height_pairing(model, cfg, "P")
+        assert str(exc.value) == ("section P is declared on component c2, but its "
+                                  f"intersections with the fiber are {terms}")
 
 
 def test_height_rejects_zero_section_off_multiplicity_one():
@@ -297,9 +349,32 @@ def test_infinite_order_height_route():
     assert isinstance(ev, MWEvidence) and ev.kind == "height-positive"
     assert ev.data["height"] == Fraction(8, 3)
     # the additive argument does not apply to the multiplicative I6
+    cfg, e, fiber = _six_cycle_with_sections("c0")
     plan = MWPlan("additive-same-component", "O", "P", {"O": "c0", "P": "c0"})
     ev = mw_evidence(plan, e, fiber, cfg, (), 10)
     assert ev == EvidenceFailure("additive-same-component", "fiber I6 is not additive")
+
+
+def test_contradicted_incidence_is_refused_by_both_plans():
+    # P meets c2 in the configuration, but the plans declare it on c3
+    cfg, e, fiber = _six_cycle_with_sections("c2")
+    for kind in ("height-positive", "additive-same-component"):
+        plan = MWPlan(kind, "O", "P", {"O": "c0", "P": "c3"})
+        with pytest.raises(EvidenceError) as exc:
+            mw_evidence(plan, e, fiber, cfg, (), 10)
+        assert str(exc.value) == ("section P is declared on component c3, but its "
+                                  "intersections with the fiber are P.c2 = 1")
+
+
+def test_additive_plan_fails_on_different_components():
+    # I0*: O and P meet two different leaves, as the plan declares
+    names = ["m", "p1", "p2", "q1", "q2"]
+    cfg = make_config(["O", "P"] + names, [("m", x, 1) for x in names[1:]]
+                      + [("O", "p1", 1), ("P", "p2", 1)])
+    e = DivisorClass.from_dict(cfg, {"m": 2, "p1": 1, "p2": 1, "q1": 1, "q2": 1})
+    plan = MWPlan("additive-same-component", "O", "P", {"O": "p1", "P": "p2"})
+    ev = mw_evidence(plan, e, classify_fiber(cfg, names), cfg, (), 10)
+    assert ev == EvidenceFailure("additive-same-component", "O meets p1 but P meets p2")
 
 
 def test_infinite_order_requires_p_not_o():
@@ -355,6 +430,11 @@ def test_cor32_needs_witness_when_r_curves_differ():
     checks2 = cor32_verify(dec1, dec2b, ev, ev, cfg,
                            witness=TriplePointWitness("fixed-pivot"))
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks2}
+
+
+def test_triple_point_witness_is_fixed_pivot_only():
+    with pytest.raises(EvidenceError, match="unknown triple-point witness 'declared'"):
+        TriplePointWitness("declared", "an asserted common point")
 
 
 def test_cor32_reports_bad_decomposition():

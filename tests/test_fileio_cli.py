@@ -171,7 +171,7 @@ def test_cli_verify_all_json_is_pinned(capsys):
 # singular-k3 rows, each joined in builtin order
 PINNED_OUTPUT_SHA256 = {
     "dumps": "16015fe0c051d6a1fd434e73a4522781cecabf9e70b6f5f5f02aad42ba395b70",
-    "mutations": "35374958a75aae53994f11dea94fb84e92da8ec05c1d875f4681e31f036f2021",
+    "mutations": "318a17995458885604e8c5e2788f1c58ac4dd2f305b1e6dc6b35fc9a7a267a04",
     "singular-k3-file-ops": "f07c06d78702405779792741854f0b9b51a07d917d2a69bc8c039262bc93a320",
 }
 
@@ -195,7 +195,13 @@ def test_dumps_mutations_and_file_ops_are_pinned(tmp_path, capsys):
                 code = cli.run(argv)
                 file_ops.append(f"{code}\n{capsys.readouterr().out}")
     assert len(dumps) == 16 and len(file_ops) == 6
-    mutations = [repr(run_mutation(m)[0].checks) for m in mutation_kit()]
+    reports = {m.mutation_id: run_mutation(m)[0] for m in mutation_kit()}
+    mutations = [repr(report.checks) for report in reports.values()]
+    # the section plan refuses the swapped incidence before comparing components
+    swapped = reports["swap-section-incidence"].checks
+    assert ("mw-evidence-E1", "FAIL",
+            "evidence-plan: section G34 is declared on component C6, but its "
+            "intersections with the fiber are G34.C3 = 1") in swapped
     assert {"dumps": _sha(dumps), "mutations": _sha(mutations),
             "singular-k3-file-ops": _sha(file_ops)} == PINNED_OUTPUT_SHA256
 
@@ -260,6 +266,12 @@ rfiber E: O=c0
 """
 
 
+# the 6-cycle with P declared on c3, though it meets c2
+CONTRADICTED = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c3")
+CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
+                      "intersections with the fiber are P.c2 = 1\n")
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["fiber", "classify", "{file}", "E"], "curves: a b\nmeets: a b 2\ndivisor E: a=-1\n",
      "error: divisor class is not effective\n"),
@@ -274,6 +286,8 @@ rfiber E: O=c0
      "error: fiber list is inconsistent: Shioda-Tate rank would be -2\n"),
     (["mw", "rank", "{file}"], FOUR_CYCLE.format(rho=1),
      "error: Picard number must be >= 2 for an elliptic surface\n"),
+    (["height", "{file}", "P"], CONTRADICTED, CONTRADICTED_ERROR),
+    (["mw", "rank", "{file}"], CONTRADICTED, CONTRADICTED_ERROR),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"

@@ -1,4 +1,5 @@
-"""Smoke test of the scripts in scripts/: each runs to exit code 0.
+"""Smoke test of the scripts in scripts/: each runs to exit code 0, and
+run_verify.py reports every negative-control mutation as flipped.
 
 They import `spectral` and `cases` entry points directly, so a rename in
 src/ that they miss fails here rather than for the next user.
@@ -22,3 +23,4 @@ def test_script_exits_0(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert "UNEXPECTED" not in proc.stdout
