@@ -28,7 +28,6 @@ from .exactlinalg import det_exact
 from .fibration import (
     Check,
     Decomposition,
-    EvidenceFailure,
     MWPlan,
     TriplePointWitness,
     cor32_verify,
@@ -600,12 +599,12 @@ def _candidate(inst, e):
     verdict = fiber_class_verdict(e, inst.cfg, classified)
     ok, fiber, diag = verdict
     if not ok:
-        ev = EvidenceFailure("evidence-plan", f"not a fiber class: {diag}")
+        ev = False, f"evidence-plan: not a fiber class: {diag}"
     else:
         try:
             ev = mw_evidence(inst.mw_plan, e, fiber, inst.cfg, inst.fixed_curves, inst.rho)
         except K3CertError as exc:
-            ev = EvidenceFailure("evidence-plan", str(exc))
+            ev = False, f"evidence-plan: {exc}"
     return classified, verdict, ev
 
 
@@ -673,8 +672,8 @@ def verify_case(inst):
     # 5. the full certificate, then the expected Kodaira kind of each
     # candidate, all from one classification per candidate
     (c1, v1, ev1), (c2, v2, ev2) = (_candidate(inst, d.e) for d in (inst.dec1, inst.dec2))
-    checks.extend(cor32_verify(inst.dec1, inst.dec2, ev1, ev2, cfg,
-                               witness=inst.witness, fiber_verdicts=(v1, v2)))
+    checks.extend(cor32_verify(inst.dec1, inst.dec2, ev1, ev2, cfg, (v1, v2),
+                               witness=inst.witness))
     for i, (fiber, refusal) in ((1, c1), (2, c2)):
         if fiber is None:
             checks.append(Check(f"e{i}-kind", "FAIL", refusal))

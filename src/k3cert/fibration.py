@@ -2,11 +2,16 @@
 positivity evidence by a typed plan, the height pairing and the
 two-fibration inertia-group certificate.
 
+Mordell-Weil evidence is the (ok, detail) pair of its report row: the
+Lemma 5.4 clauses (lemma54_check) and the section plans of mw_evidence
+return it, and cor32_verify turns it into the mw-evidence-E<i> Check.
+
 The local height contributions come from Shioda's formula on the
-intersection matrix of each reducible fiber.  A section's declared
-component is checked against the configuration before any use: it is
-the only component of the fiber the section meets, once, and it has
-multiplicity 1.
+intersection matrix of each reducible fiber.  A declared reducible
+fiber D must be a fiber of the fibration (D.F = 0), and a section's
+declared component is checked against the configuration before any
+use: it is the only component of the fiber the section meets, once,
+and it has multiplicity 1.
 """
 
 from __future__ import annotations
@@ -15,33 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import (
-    ConfigError,
-    DivisorClass,
-    FiberError,
-    fiber_class_verdict,
-    is_fiber_class,
-    pairing,
-)
+from .curves import ConfigError, DivisorClass, pairing
 from .errors import K3CertError
 from .exactlinalg import kernel_basis
 
 
 class EvidenceError(K3CertError):
     pass
-
-
-@dataclass(frozen=True)
-class MWEvidence:
-    kind: str   # lemma54-case1 | lemma54-case2 | height-positive | additive-same-component
-    detail: str = ""
-    data: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class EvidenceFailure:
-    clause: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -69,6 +54,12 @@ class FibrationModel:
             if v != 1:
                 raise EvidenceError(f"section {s} meets the fiber class {v} times, not 1")
         for fim in self.reducible_fibers:
+            mults = fim.fiber.multiplicities
+            v = pairing(DivisorClass.from_dict(cfg, mults), self.fiber_class, cfg)
+            if v != 0:
+                raise EvidenceError(
+                    f"reducible fiber {fim.fiber.kind} on {' '.join(mults)} meets "
+                    f"the fiber class {v} times, not 0: it is no fiber of the fibration")
             for s in fim.section_meets:
                 _declared_component(fim, s, cfg)
 
@@ -89,49 +80,35 @@ def shioda_tate_rank(rho, component_counts):
 
 
 def lemma54_check(e, cfg, fixed_curves, rho):
-    """Mordell-Weil positivity from the structure of one fiber class.
+    """Mordell-Weil positivity from the structure of one fiber class e,
+    already certified as a fiber class.
 
     Case 1: every fixed curve lies in Supp E and r < rho - 1.
     Case 2: all but one fixed curve lie in Supp E, the missing one is
     orthogonal to E, and r < rho - 2.
-    Returns MWEvidence or EvidenceFailure naming the violated clause.
+    Returns (ok, detail); detail starts with the case that holds or the
+    clause that fails.
     """
-    ok, _, diag = is_fiber_class(e, cfg)
-    if not ok:
-        raise FiberError(f"not a fiber class: {diag}")
-    return _lemma54_clauses(e, cfg, fixed_curves, rho)
-
-
-def _lemma54_clauses(e, cfg, fixed_curves, rho):
-    """lemma54_check's two cases, for an e already certified as a fiber
-    class."""
     supp = set(e.support(cfg))
     k = len(fixed_curves)
     inside = [c for c in fixed_curves if c in supp]
     r = len(supp)
     if len(inside) == k:
         if r < rho - 1:
-            return MWEvidence(
-                "lemma54-case1",
-                f"all {k} fixed curves in Supp E, r={r} < rho-1={rho-1}",
-                {"r": r, "k": k, "rho": rho})
-        return EvidenceFailure("case1:r<rho-1", f"r={r} is not < rho-1={rho-1}")
+            return True, f"lemma54-case1: all {k} fixed curves in Supp E, r={r} < rho-1={rho-1}"
+        return False, f"case1:r<rho-1: r={r} is not < rho-1={rho-1}"
     if len(inside) == k - 1:
         missing = [c for c in fixed_curves if c not in supp][0]
         ce = pairing(DivisorClass.from_dict(cfg, {missing: 1}), e, cfg)
         if ce != 0:
-            return EvidenceFailure(
-                "case2:missing-orthogonal",
-                f"missing fixed curve {missing} has C.E={ce}, expected 0")
+            return (False, f"case2:missing-orthogonal: missing fixed curve {missing} "
+                           f"has C.E={ce}, expected 0")
         if r < rho - 2:
-            return MWEvidence(
-                "lemma54-case2",
-                f"{k-1} of {k} fixed curves in Supp E, {missing}.E=0, r={r} < rho-2={rho-2}",
-                {"r": r, "k": k, "rho": rho, "missing": missing})
-        return EvidenceFailure("case2:r<rho-2", f"r={r} is not < rho-2={rho-2}")
-    return EvidenceFailure(
-        "fixed-curves-in-support",
-        f"{len(inside)} of {k} fixed curves in Supp E, need k or k-1")
+            return (True, f"lemma54-case2: {k-1} of {k} fixed curves in Supp E, "
+                          f"{missing}.E=0, r={r} < rho-2={rho-2}")
+        return False, f"case2:r<rho-2: r={r} is not < rho-2={rho-2}"
+    return (False, f"fixed-curves-in-support: {len(inside)} of {k} fixed curves "
+                   f"in Supp E, need k or k-1")
 
 
 def _declared_component(fim, s, cfg):
@@ -224,11 +201,11 @@ def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
     """Mordell-Weil positivity on the fibration |E| by the given plan.
 
     e must already be certified as a fiber class, of Kodaira type fiber.
-    Returns MWEvidence, or EvidenceFailure naming the unmet clause;
+    Returns (ok, detail), detail naming the evidence or the unmet clause;
     raises EvidenceError when the plan's sections do not fit |E|.
     """
     if plan.kind == "lemma54":
-        return _lemma54_clauses(e, cfg, fixed_curves, rho)
+        return lemma54_check(e, cfg, fixed_curves, rho)
     model = FibrationModel(
         rho=rho, fiber_class=e, zero_section=plan.zero,
         sections=(plan.zero, plan.section),
@@ -237,21 +214,16 @@ def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
     if plan.kind == "height-positive":
         h = height_pairing(model, cfg, plan.section)
         if h > 0:
-            return MWEvidence("height-positive", f"<P,P> = {h}", {"height": h})
-        return EvidenceFailure("height-positive", f"<P,P> = {h} is not positive")
+            return True, f"height-positive: <P,P> = {h}"
+        return False, f"height-positive: <P,P> = {h} is not positive"
     if not fiber.kind.endswith("*"):
-        return EvidenceFailure(
-            "additive-same-component", f"fiber {fiber.kind} is not additive")
+        return False, f"additive-same-component: fiber {fiber.kind} is not additive"
     cz, cp = plan.incidence[plan.zero], plan.incidence[plan.section]
     if cz == cp:
-        return MWEvidence(
-            "additive-same-component",
-            f"{plan.section} and {plan.zero} meet the same component {cz} of the "
-            f"{fiber.kind} fiber",
-            {"component": cz, "kind": fiber.kind})
-    return EvidenceFailure(
-        "additive-same-component",
-        f"{plan.zero} meets {cz} but {plan.section} meets {cp}")
+        return True, (f"additive-same-component: {plan.section} and {plan.zero} meet "
+                      f"the same component {cz} of the {fiber.kind} fiber")
+    return (False, f"additive-same-component: {plan.zero} meets {cz} "
+                   f"but {plan.section} meets {cp}")
 
 
 @dataclass(frozen=True)
@@ -301,7 +273,7 @@ class Check(NamedTuple):
         return cls(name, "PASS" if ok else "FAIL", detail)
 
 
-def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
+def cor32_verify(dec1, dec2, ev1, ev2, cfg, fiber_verdicts, witness=None):
     """Verify the two-fibration certificate for a positive-entropy
     inertia group element; returns a tuple of Check.
 
@@ -309,7 +281,8 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
     are valid; E1.E2 > 0 (two isotropic classes are proportional only if
     their product vanishes); the pivot differs from R1, R2; and the
     common-point condition on C, R1, R2.  fiber_verdicts holds the
-    fiber_class_verdict of E1 and E2 when the caller already has them.
+    fiber_class_verdict of E1 and E2, and ev1, ev2 the (ok, detail) of
+    their Mordell-Weil evidence.
     """
     checks = []
     for i, dec in enumerate((dec1, dec2), 1):
@@ -325,15 +298,10 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, witness=None, fiber_verdicts=None):
     else:
         checks.append(Check("same-pivot", "PASS",
                             f"both decompositions pivot on {dec1.c_curve}"))
-    if fiber_verdicts is None:
-        fiber_verdicts = [fiber_class_verdict(dec.e, cfg) for dec in (dec1, dec2)]
     for i, (ok, _, diag) in enumerate(fiber_verdicts, 1):
         checks.append(Check.of(f"fiber-class-E{i}", ok, diag))
     for i, ev in enumerate((ev1, ev2), 1):
-        if isinstance(ev, MWEvidence):
-            checks.append(Check(f"mw-evidence-E{i}", "PASS", f"{ev.kind}: {ev.detail}"))
-        else:
-            checks.append(Check(f"mw-evidence-E{i}", "FAIL", f"{ev.clause}: {ev.detail}"))
+        checks.append(Check.of(f"mw-evidence-E{i}", *ev))
     prod = pairing(dec1.e, dec2.e, cfg)
     checks.append(Check.of("non-proportional", prod > 0, f"E1.E2 = {prod}"))
     c = dec1.c_curve

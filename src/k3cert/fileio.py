@@ -134,10 +134,17 @@ def parse_config_text(text):
         if not sections:
             raise FileFormatError("fibration: needs a sections: line", line_no)
         fims = []
+        owner = {}     # curve -> label of the rfiber whose support holds it
         for rlabel, incidence, rline in rfibers:
             if rlabel not in divisors:
                 raise FileFormatError(f"rfiber divisor {rlabel!r} not declared", rline)
             support = divisors[rlabel].support(cfg)
+            # two fibers of one fibration are disjoint
+            for c in support:
+                if c in owner:
+                    raise FileFormatError(
+                        f"rfiber {rlabel} shares curve {c} with rfiber {owner[c]}", rline)
+            owner.update(dict.fromkeys(support, rlabel))
             try:
                 fiber = classify_fiber(cfg, support)
             except ValueError as exc:

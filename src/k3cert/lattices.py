@@ -34,31 +34,10 @@ class LatticeParseError(K3CertError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
-    family: str  # 'U', 'A', 'D', 'E'
-    index: int   # 0 for U
-
-@dataclass(frozen=True)
-class Twist:
-    inner: "LatticeExpr"
-    factor: int
-
-@dataclass(frozen=True)
-class Power:
-    inner: "LatticeExpr"
-    exponent: int
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
-
-
-LatticeExpr = object  # Atom | Twist | Power | Sum
-
-
 def parse_lattice_expr(text):
-    """Parse a lattice expression; raises LatticeParseError with byte offset."""
+    """The Gram rows of a lattice expression: each term gives its block, a
+    twist scales it, a power repeats it, and the terms of a sum stack
+    block-diagonally.  Raises LatticeParseError with the byte offset."""
     pos = 0
     n = len(text)
 
@@ -79,6 +58,7 @@ def parse_lattice_expr(text):
         return int(text[start:pos])
 
     def parse_term():
+        """The blocks of one term."""
         nonlocal pos
         skip_ws()
         if pos >= n:
@@ -87,7 +67,7 @@ def parse_lattice_expr(text):
         start = pos
         if ch == 'U':
             pos += 1
-            node = Atom('U', 0)
+            g = _root_gram('U', 0)
         elif ch in ('A', 'D', 'E'):
             pos += 1
             idx = parse_int()
@@ -97,7 +77,7 @@ def parse_lattice_expr(text):
                 raise LatticeParseError("D_m needs m >= 4", start)
             if ch == 'E' and idx not in (6, 7, 8):
                 raise LatticeParseError("E_n needs n in {6,7,8}", start)
-            node = Atom(ch, idx)
+            g = _root_gram(ch, idx)
         else:
             raise LatticeParseError(f"unknown atom {ch!r}", pos)
         skip_ws()
@@ -111,7 +91,7 @@ def parse_lattice_expr(text):
             if pos >= n or text[pos] != ')':
                 raise LatticeParseError("expected ')'", pos)
             pos += 1
-            node = Twist(node, k)
+            g = [[k * x for x in row] for row in g]
         skip_ws()
         if pos < n and text[pos] == '^':
             pos += 1
@@ -119,45 +99,33 @@ def parse_lattice_expr(text):
             k = parse_int()
             if k < 1:
                 raise LatticeParseError("power must be >= 1", pstart)
-            node = Power(node, k)
-        return node
+            return [g] * k
+        return [g]
 
     skip_ws()
-    parts = [parse_term()]
+    blocks = parse_term()
     skip_ws()
     while pos < n and text[pos] == '+':
         pos += 1
-        parts.append(parse_term())
+        blocks += parse_term()
         skip_ws()
     if pos < n:
         raise LatticeParseError(f"unexpected character {text[pos]!r}", pos)
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    return _block_diag(blocks)
 
 
-def _root_gram(family, idx):
+def _root_gram(family, m):
     if family == 'U':
-        return [[0, 1], [1, 0]], ['u1', 'u2']
-    if family == 'A':
-        m = idx
-        g = [[-2 if i == j else 0 for j in range(m)] for i in range(m)]
-        for i in range(m - 1):
-            g[i][i + 1] = g[i + 1][i] = 1
-        return g, [f'a{i+1}' for i in range(m)]
-    if family == 'D':
-        m = idx
-        g = [[-2 if i == j else 0 for j in range(m)] for i in range(m)]
-        for i in range(m - 2):
-            g[i][i + 1] = g[i + 1][i] = 1
-        g[m - 3][m - 1] = g[m - 1][m - 3] = 1
-        return g, [f'd{i+1}' for i in range(m)]
-    if family == 'E':
-        m = idx
-        g = [[-2 if i == j else 0 for j in range(m)] for i in range(m)]
-        for i in range(m - 2):
-            g[i][i + 1] = g[i + 1][i] = 1
-        g[2][m - 1] = g[m - 1][2] = 1
-        return g, [f'e{i+1}' for i in range(m)]
-    raise ValueError(family)
+        return [[0, 1], [1, 0]]
+    g = [[-2 if i == j else 0 for j in range(m)] for i in range(m)]
+    chain = m if family == 'A' else m - 1
+    for i in range(chain - 1):
+        g[i][i + 1] = g[i + 1][i] = 1
+    if family != 'A':
+        # the branch node e_m meets e_{m-2} (D_m) or e3 (E_n)
+        b = m - 3 if family == 'D' else 2
+        g[b][m - 1] = g[m - 1][b] = 1
+    return g
 
 
 def _block_diag(blocks):
@@ -175,7 +143,6 @@ def _block_diag(blocks):
 @dataclass(frozen=True)
 class GramLattice:
     gram: tuple          # tuple of tuples of ints
-    basis_labels: tuple
 
     @property
     def rank(self):
@@ -185,48 +152,17 @@ class GramLattice:
         return [list(r) for r in self.gram]
 
 
-def make_lattice(gram, labels=None):
+def make_lattice(gram):
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
     for i in range(len(gram)):
         if gram[i][i] % 2:
             raise ValueError("lattice is not even: odd diagonal entry")
-    if labels is None:
-        labels = [f'v{i+1}' for i in range(len(gram))]
-    return GramLattice(tuple(tuple(r) for r in gram), tuple(labels))
-
-
-def gram(expr):
-    """Gram lattice of a parsed expression."""
-    def build(node, prefix):
-        if isinstance(node, Atom):
-            g, labels = _root_gram(node.family, node.index)
-            return g, [prefix + l for l in labels]
-        if isinstance(node, Twist):
-            g, labels = build(node.inner, prefix)
-            return [[node.factor * x for x in row] for row in g], labels
-        if isinstance(node, Power):
-            gs, ls = [], []
-            for k in range(node.exponent):
-                g, labels = build(node.inner, f"{prefix}{k+1}.")
-                gs.append(g)
-                ls.extend(labels)
-            return _block_diag(gs), ls
-        if isinstance(node, Sum):
-            gs, ls = [], []
-            for k, part in enumerate(node.parts):
-                g, labels = build(part, f"{prefix}s{k+1}.")
-                gs.append(g)
-                ls.extend(labels)
-            return _block_diag(gs), ls
-        raise TypeError(node)
-
-    g, labels = build(expr, "")
-    return make_lattice(g, labels)
+    return GramLattice(tuple(tuple(r) for r in gram))
 
 
 def gram_of(text):
-    return gram(parse_lattice_expr(text))
+    return make_lattice(parse_lattice_expr(text))
 
 
 class DegenerateLatticeError(K3CertError):

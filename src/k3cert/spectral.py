@@ -284,36 +284,6 @@ def _trace_root_counts(s):
     return v[0] - v[1], v[1] - v[2], v[2] - v[3]
 
 
-def salem_factor(s):
-    """s itself when it is certified as the minimal polynomial of a Salem
-    number, else None.
-
-    s must be free of cyclotomic factors (the `rest` of
-    strip_cyclotomic_factors).  The certificate: s is monic and
-    palindromic of degree 2d, and its trace polynomial Q has one root in
-    (2, bound] and d - 1 roots in (-2, 2), counted exactly by Sturm.  Then
-    s has one root lambda > 1, its inverse, and 2d - 2 roots on the unit
-    circle.  By Kronecker's theorem a factor with only unit-circle roots
-    would be cyclotomic, and one holding 1/lambda without lambda would
-    have constant term of absolute value 1/lambda < 1, so s is
-    irreducible (Smyth, Seventy years of Salem numbers).  For the
-    squarefree non-cyclotomic part of an isometry's characteristic
-    polynomial with a root above 1, the certificate fails exactly when two
-    or more pairs of eigenvalues lie off the unit circle.
-    """
-    s = poly_trim(list(s))
-    if len(s) % 2 == 0 or s[-1] != 1 or s != s[::-1]:
-        return None
-    return _certified_salem(s, _trace_root_counts(s))
-
-
-def _certified_salem(s, counts):
-    """salem_factor(s) for a monic palindromic s of even degree, from the
-    root counts (below, inside, above) of its trace polynomial."""
-    _, inside, above = counts
-    return s if above == 1 and inside == len(s) // 2 - 1 else None
-
-
 def is_reciprocal(p):
     """x^deg * p(1/x) == +-p(x), exact."""
     p = poly_trim(list(p))
@@ -354,7 +324,18 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
     and one Sturm chain of its trace polynomial give both the Salem
     certificate and the position of the eigenvalues off the unit circle;
     the radius is the largest real root of s, or of s(x) s(-x) when it
-    may be negative, refined by exact bisection.  Otherwise the
+    may be negative, refined by exact bisection.
+
+    The Salem certificate: s is monic and palindromic of degree 2d, and
+    its trace polynomial Q has one root in (2, bound] and d - 1 roots in
+    (-2, 2), counted exactly by Sturm.  Then s has one root lambda > 1,
+    its inverse, and 2d - 2 roots on the unit circle.  By Kronecker's
+    theorem a factor with only unit-circle roots would be cyclotomic, and
+    one holding 1/lambda without lambda would have constant term of
+    absolute value 1/lambda < 1, so s is irreducible (Smyth, Seventy years
+    of Salem numbers), and it is the salem_factor of the report.  The
+    certificate fails exactly when two or more pairs of eigenvalues lie
+    off the unit circle, or when the one pair off it is negative.  Otherwise the
     characteristic polynomial is a product of cyclotomic Phi_n, and the
     map is elliptic, of order exactly the lcm N of those n, when the
     radical f, the product of the distinct Phi_n, kills m, and parabolic
@@ -379,12 +360,11 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
         # unit circle (Kronecker), so s has one too, and s is monic and
         # palindromic: its roots pair off as x, 1/x with none at +-1
         s = squarefree_part(rest)
-        counts = _trace_root_counts(s)
-        factor = _certified_salem(s, counts)
+        below, inside, above = _trace_root_counts(s)
+        factor = s if above == 1 and inside == len(s) // 2 - 1 else None
         radius_poly = s
         reason = None
         if factor is None:
-            below, inside, above = counts
             if below + inside + above < len(s) // 2:
                 raise K3CertError("eigenvalues off the unit circle are not real: "
                                   "spectral radius not certified")

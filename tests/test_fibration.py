@@ -7,15 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3cert.curves import DivisorClass, classify_fiber, make_config
+from k3cert.curves import DivisorClass, classify_fiber, fiber_class_verdict, make_config
 from k3cert.fibration import (
     Check,
     Decomposition,
     EvidenceError,
-    EvidenceFailure,
     FiberInModel,
     FibrationModel,
-    MWEvidence,
     MWPlan,
     TriplePointWitness,
     cor32_verify,
@@ -71,24 +69,24 @@ def _cycle_with_fixed(r, n_fixed, extra_fixed=False):
 
 def test_lemma54_case1():
     cfg, fixed, e = _cycle_with_fixed(4, 2)
-    ev = lemma54_check(e, cfg, fixed, rho=12)
-    assert isinstance(ev, MWEvidence) and ev.kind == "lemma54-case1"
+    ok, detail = lemma54_check(e, cfg, fixed, rho=12)
+    assert ok and detail.startswith("lemma54-case1: ")
 
 
 def test_lemma54_case2():
     cfg, fixed, e = _cycle_with_fixed(6, 2, extra_fixed=True)
-    ev = lemma54_check(e, cfg, fixed, rho=10)
-    assert isinstance(ev, MWEvidence) and ev.kind == "lemma54-case2"
-    assert ev.data["missing"] == "Z"
+    ok, detail = lemma54_check(e, cfg, fixed, rho=10)
+    assert ok and detail.startswith("lemma54-case2: ")
+    assert "Z.E=0" in detail
 
 
 def test_lemma54_boundaries():
     cfg, fixed, e = _cycle_with_fixed(6, 2)
-    fail = lemma54_check(e, cfg, fixed, rho=7)
-    assert isinstance(fail, EvidenceFailure) and "case1" in fail.clause
+    ok, detail = lemma54_check(e, cfg, fixed, rho=7)
+    assert not ok and detail.startswith("case1:")
     cfg, fixed, e = _cycle_with_fixed(6, 2, extra_fixed=True)
-    fail = lemma54_check(e, cfg, fixed, rho=8)
-    assert isinstance(fail, EvidenceFailure) and "case2" in fail.clause
+    ok, detail = lemma54_check(e, cfg, fixed, rho=8)
+    assert not ok and detail.startswith("case2:")
 
 
 def test_lemma54_shioda_tate_consistency_randomized():
@@ -102,10 +100,10 @@ def test_lemma54_shioda_tate_consistency_randomized():
         n_fixed = rng.randint(1, r)
         rho = rng.randint(r - 1, r + 4)
         cfg, fixed, e = _cycle_with_fixed(r, n_fixed, extra_fixed=case2)
-        ev = lemma54_check(e, cfg, fixed, rho)
+        ok, _ = lemma54_check(e, cfg, fixed, rho)
         margin = (rho - 2 - r) if case2 else (rho - 1 - r)
-        assert isinstance(ev, MWEvidence) == (margin > 0)
-        if isinstance(ev, MWEvidence):
+        assert ok == (margin > 0)
+        if ok:
             # completeness: the cycle is the only declared reducible fiber
             st = shioda_tate_rank(rho, [r])
             assert st == rho - 1 - r
@@ -346,13 +344,12 @@ def test_infinite_order_height_route():
     cfg, e, fiber = _six_cycle_with_sections("c2")
     plan = MWPlan("height-positive", "O", "P", {"O": "c0", "P": "c2"})
     ev = mw_evidence(plan, e, fiber, cfg, (), 10)
-    assert isinstance(ev, MWEvidence) and ev.kind == "height-positive"
-    assert ev.data["height"] == Fraction(8, 3)
+    assert ev == (True, "height-positive: <P,P> = 8/3")
     # the additive argument does not apply to the multiplicative I6
     cfg, e, fiber = _six_cycle_with_sections("c0")
     plan = MWPlan("additive-same-component", "O", "P", {"O": "c0", "P": "c0"})
     ev = mw_evidence(plan, e, fiber, cfg, (), 10)
-    assert ev == EvidenceFailure("additive-same-component", "fiber I6 is not additive")
+    assert ev == (False, "additive-same-component: fiber I6 is not additive")
 
 
 def test_contradicted_incidence_is_refused_by_both_plans():
@@ -374,7 +371,7 @@ def test_additive_plan_fails_on_different_components():
     e = DivisorClass.from_dict(cfg, {"m": 2, "p1": 1, "p2": 1, "q1": 1, "q2": 1})
     plan = MWPlan("additive-same-component", "O", "P", {"O": "p1", "P": "p2"})
     ev = mw_evidence(plan, e, classify_fiber(cfg, names), cfg, (), 10)
-    assert ev == EvidenceFailure("additive-same-component", "O meets p1 but P meets p2")
+    assert ev == (False, "additive-same-component: O meets p1 but P meets p2")
 
 
 def test_infinite_order_requires_p_not_o():
@@ -402,21 +399,25 @@ def _toy_certificate():
     e2 = DivisorClass.from_dict(cfg, {"C": 1, "R": 1, "A'": 1, "B'": 1})
     dec1 = Decomposition(e1, 1, "R", 1, "C")
     dec2 = Decomposition(e2, 1, "R", 1, "C")
-    ev = MWEvidence("lemma54-case1", "synthetic")
+    ev = (True, "lemma54-case1: synthetic")
     return cfg, e1, e2, dec1, dec2, ev
+
+
+def _verdicts(cfg, *decs):
+    return [fiber_class_verdict(dec.e, cfg) for dec in decs]
 
 
 def test_cor32_pass_and_symmetry():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    v12 = cor32_verify(dec1, dec2, ev, ev, cfg)
-    v21 = cor32_verify(dec2, dec1, ev, ev, cfg)
+    v12 = cor32_verify(dec1, dec2, ev, ev, cfg, _verdicts(cfg, dec1, dec2))
+    v21 = cor32_verify(dec2, dec1, ev, ev, cfg, _verdicts(cfg, dec2, dec1))
     assert all(c.status == "PASS" for c in v12 + v21)
     assert all(isinstance(c, Check) for c in v12)
 
 
 def test_cor32_fails_on_proportional():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    checks = cor32_verify(dec1, dec1, ev, ev, cfg)
+    checks = cor32_verify(dec1, dec1, ev, ev, cfg, _verdicts(cfg, dec1, dec1))
     failed = {n for n, s, _ in checks if s == "FAIL"}
     assert failed == {"non-proportional"}
 
@@ -424,10 +425,10 @@ def test_cor32_fails_on_proportional():
 def test_cor32_needs_witness_when_r_curves_differ():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
     dec2b = Decomposition(e2, 1, "A'", 1, "C")
-    checks = cor32_verify(dec1, dec2b, ev, ev, cfg)
+    checks = cor32_verify(dec1, dec2b, ev, ev, cfg, _verdicts(cfg, dec1, dec2b))
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks}
     # a fixed-pivot witness needs C.R positive for both curves; C.A' = 0 here
-    checks2 = cor32_verify(dec1, dec2b, ev, ev, cfg,
+    checks2 = cor32_verify(dec1, dec2b, ev, ev, cfg, _verdicts(cfg, dec1, dec2b),
                            witness=TriplePointWitness("fixed-pivot"))
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks2}
 
@@ -443,7 +444,7 @@ def test_cor32_reports_bad_decomposition():
     # the configuration lacks is reported, not raised
     for bad in (Decomposition(e1, 2, "R", 1, "C"), Decomposition(e1, 1, "nosuch", 1, "C"),
                 Decomposition(e1, 1, "R", 1, "nosuch")):
-        checks = cor32_verify(bad, dec2, ev, ev, cfg)
+        checks = cor32_verify(bad, dec2, ev, ev, cfg, _verdicts(cfg, bad, dec2))
         assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
     # the common-point check needs the unknown pivot, so it fails too
     assert Check("common-point", "FAIL", "unknown curve 'nosuch'") in checks
@@ -451,6 +452,6 @@ def test_cor32_reports_bad_decomposition():
 
 def test_cor32_propagates_evidence_failure():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    fail = EvidenceFailure("case1:r<rho-1", "synthetic failure")
-    checks = cor32_verify(dec1, dec2, ev, fail, cfg)
+    fail = (False, "case1:r<rho-1: synthetic failure")
+    checks = cor32_verify(dec1, dec2, ev, fail, cfg, _verdicts(cfg, dec1, dec2))
     assert Check("mw-evidence-E2", "FAIL", "case1:r<rho-1: synthetic failure") in checks

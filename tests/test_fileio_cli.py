@@ -38,6 +38,13 @@ def test_parse_round_trip():
     assert reparsed.divisors["E"] == parsed.divisors["E"]
 
 
+# the 6-cycle sample with its rfiber line repeated (line 15), and with the
+# same fiber declared again under another label (line 16)
+REPEATED_RFIBER = SAMPLE + "rfiber E: O=c0 P=c2\n"
+RELABELLED_RFIBER = (SAMPLE + "divisor E2: c0=1 c1=1 c2=1 c3=1 c4=1 c5=1\n"
+                     "rfiber E2: O=c0 P=c2\n")
+
+
 @pytest.mark.parametrize("bad,line", [
     ("meets: a b 1", 1),               # no curves line anywhere
     ("curves: a b\nmeets: a b", 2),
@@ -45,11 +52,13 @@ def test_parse_round_trip():
     ("curves: a b\ncurves: a b", 2),
     ("curves: a b\nwibble: 3", 2),
     ("curves: a b\ndivisor D: a=x", 2),
+    (REPEATED_RFIBER, 15),
+    (RELABELLED_RFIBER, 16),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(fileio.FileFormatError) as exc:
         fileio.parse_config_text(bad)
-    if "curves" not in bad.splitlines()[0]:
+    if "curves:" not in bad:
         assert exc.value.line_no == 0
     else:
         assert exc.value.line_no == line
@@ -107,6 +116,15 @@ def test_cli_mw_and_height(tmp_path, capsys):
     assert cli.run(["height", str(path), "P"]) == 0
     out = capsys.readouterr().out
     assert "<P, P> = 8/3" in out
+
+
+def test_cli_height_refuses_a_repeated_rfiber(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(REPEATED_RFIBER)
+    assert cli.run(["height", str(path), "P"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: line 15: rfiber E shares curve c0 with rfiber E\n"
 
 
 def test_cli_entropy(tmp_path, capsys):
@@ -266,6 +284,27 @@ rfiber E: O=c0
 """
 
 
+# an I2 rfiber F with F.E = 1 (e1 meets f1), so no fiber of |E|; O and P
+# meet both E and F once
+OFF_FIBRATION = """\
+curves: O P e1 e2 f1 f2
+meets: e1 e2 2
+meets: f1 f2 2
+meets: e1 f1 1
+meets: O e1 1
+meets: P e2 1
+meets: O f1 1
+meets: P f2 1
+divisor E: e1=1 e2=1
+divisor F: f1=1 f2=1
+fibration: fiber=E zero=O rho=10
+sections: O P
+rfiber F: O=f1 P=f2
+"""
+OFF_FIBRATION_ERROR = ("error: reducible fiber I2/III on f1 f2 meets the fiber class "
+                       "1 times, not 0: it is no fiber of the fibration\n")
+
+
 # the 6-cycle with P declared on c3, though it meets c2
 CONTRADICTED = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c3")
 CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
@@ -288,6 +327,8 @@ CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
      "error: Picard number must be >= 2 for an elliptic surface\n"),
     (["height", "{file}", "P"], CONTRADICTED, CONTRADICTED_ERROR),
     (["mw", "rank", "{file}"], CONTRADICTED, CONTRADICTED_ERROR),
+    (["height", "{file}", "P"], OFF_FIBRATION, OFF_FIBRATION_ERROR),
+    (["mw", "rank", "{file}"], OFF_FIBRATION, OFF_FIBRATION_ERROR),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"

@@ -29,7 +29,6 @@ from k3cert.spectral import (
     is_reciprocal,
     largest_real_root,
     root_bound,
-    salem_factor,
     squarefree_part,
     strip_cyclotomic_factors,
     sturm_sequence,
@@ -236,10 +235,16 @@ def test_trace_polynomial_round_trip(lead, inner, middle):
 
 
 def test_lehmer_polynomial_is_certified():
-    assert salem_factor(LEHMER) == LEHMER
-    assert salem_factor([1, -6, 1]) == [1, -6, 1]
-    # the cyclotomic x^2 + x + 1 has no root off the unit circle
-    assert salem_factor([1, 1, 1]) is None
+    # the Coxeter element of T_{2,3,7} has Lehmer's polynomial as its
+    # characteristic polynomial, M_HYP has (x + 1)(x^2 - 6x + 1)
+    g = t_pqr_gram(2, 3, 7)
+    assert entropy(coxeter_element(g), g).salem_factor == LEHMER
+    assert entropy(M_HYP, G3).salem_factor == [1, -6, 1]
+    # the cyclotomic x^2 + x + 1 of A2's Coxeter element has no root off
+    # the unit circle
+    a2 = [[-2, 1], [1, -2]]
+    rep = entropy(coxeter_element(a2), a2)
+    assert (rep.dynamical_class, rep.order, rep.salem_factor) == ("elliptic", 3, None)
 
 
 def t_pqr_gram(p, q, r):
