@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
 """Replay every built-in certificate and print the summary table.
 
-Equivalent to `k3cert verify --all`, plus the Q-basis determinant and
-the negative-control mutations, so one run shows the whole evidence
-surface.  Exits 1 when a mutation no longer flips its expected check or
-the Q-basis determinant is 0; the documented singular-k3 FAIL rows do not
-change the exit code.
+The table is the stdout of `k3cert verify --all`; the Q-basis
+determinant and the negative-control mutations follow it, so one run
+shows the whole evidence surface.  Exits 1 when a mutation no longer
+flips its expected check or the Q-basis determinant is 0; the documented
+singular-k3 FAIL rows do not change the exit code.
 """
 
 import sys, os
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from k3cert.cases import mutation_kit, qbasis_check, run_mutation, verify_all
+from k3cert import cli
+from k3cert.cases import mutation_kit, qbasis_check, run_mutation
 
 
 def main():
-    reports = verify_all()
-    for rep in reports:
-        tag = rep.case_id + (f"[{rep.param}]" if rep.param is not None else "")
-        print(f"{tag:24s} {rep.status}")
-        for name, status, detail in rep.checks:
-            if status == "FAIL":
-                print(f"    FAIL {name}: {detail}")
-    npass = sum(1 for r in reports if r.status == "PASS")
-    print(f"{npass}/{len(reports)} PASS")
+    cli.run(["verify", "--all"])
 
     det, nonzero = qbasis_check()
     print(f"qbasis determinant: {det} ({'nonzero' if nonzero else 'ZERO'})")

@@ -67,13 +67,16 @@ def cmd_fiber(args):
     return EXIT_FAIL
 
 
-def cmd_mw(args):
-    parsed = fileio.parse_config_file(args.file)
+def _validated_model(path):
+    parsed = fileio.parse_config_file(path)
     if parsed.model is None:
-        print("error: file has no fibration: block", file=sys.stderr)
-        return EXIT_USAGE
-    model = parsed.model
-    model.validate(parsed.cfg)
+        raise K3CertError("file has no fibration: block")
+    parsed.model.validate(parsed.cfg)
+    return parsed.model, parsed.cfg
+
+
+def cmd_mw(args):
+    model, _ = _validated_model(args.file)
     counts = [fim.fiber.component_count for fim in model.reducible_fibers]
     rank = shioda_tate_rank(model.rho, counts)
     print(f"rho: {model.rho}")
@@ -85,14 +88,8 @@ def cmd_mw(args):
 
 
 def cmd_height(args):
-    parsed = fileio.parse_config_file(args.file)
-    if parsed.model is None:
-        print("error: file has no fibration: block", file=sys.stderr)
-        return EXIT_USAGE
-    model = parsed.model
-    model.validate(parsed.cfg)
-    h = height_pairing(model, parsed.cfg, args.section)
-    print(f"<{args.section}, {args.section}> = {h}")
+    model, cfg = _validated_model(args.file)
+    print(f"<{args.section}, {args.section}> = {height_pairing(model, cfg, args.section)}")
     return EXIT_OK
 
 

@@ -6,12 +6,12 @@ Mordell-Weil evidence is the (ok, detail) pair of its report row: the
 Lemma 5.4 clauses (lemma54_check) and the section plans of mw_evidence
 return it, and cor32_verify turns it into the mw-evidence-E<i> Check.
 
-The local height contributions come from Shioda's formula on the
-intersection matrix of each reducible fiber.  A declared reducible
-fiber D must be a fiber of the fibration (D.F = 0), and a section's
-declared component is checked against the configuration before any
-use: it is the only component of the fiber the section meets, once,
-and it has multiplicity 1.
+The height pairing is one projection off the trivial lattice, spanned
+by the zero section, the fiber class and the reducible fibers.  It reads
+no section incidence: a declared incidence is a claim that
+FibrationModel.validate checks against the configuration.  A declared
+reducible fiber D must be a fiber of the fibration (D.F = 0), and every
+section S meets it once (S.D = 1): on one component, of multiplicity 1.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class EvidenceError(K3CertError):
 @dataclass(frozen=True)
 class FiberInModel:
     """One reducible fiber of a fibration: its Kodaira type, the named
-    components with multiplicities, and which component each declared
-    section meets."""
+    components with multiplicities, and the component each section is
+    declared to meet (optional, checked by FibrationModel.validate)."""
     fiber: object                    # KodairaFiber
     section_meets: dict              # section name -> component name
 
@@ -53,14 +53,18 @@ class FibrationModel:
             v = pairing(DivisorClass.from_dict(cfg, {s: 1}), self.fiber_class, cfg)
             if v != 1:
                 raise EvidenceError(f"section {s} meets the fiber class {v} times, not 1")
+        earlier = [(self.fiber_class, "the fiber class")]   # two fibers are disjoint
         for fim in self.reducible_fibers:
             mults = fim.fiber.multiplicities
-            v = pairing(DivisorClass.from_dict(cfg, mults), self.fiber_class, cfg)
-            if v != 0:
-                raise EvidenceError(
-                    f"reducible fiber {fim.fiber.kind} on {' '.join(mults)} meets "
-                    f"the fiber class {v} times, not 0: it is no fiber of the fibration")
-            for s in fim.section_meets:
+            d = DivisorClass.from_dict(cfg, mults)
+            on = f"{fim.fiber.kind} on {' '.join(mults)}"
+            for other, other_on in earlier:
+                v = pairing(d, other, cfg)
+                if v != 0:
+                    raise EvidenceError(f"reducible fiber {on} meets {other_on} {v} times, "
+                                        "not 0: it is no fiber of the fibration")
+            earlier.append((d, f"the reducible fiber {on}"))
+            for s in dict.fromkeys((*self.sections, *fim.section_meets)):
                 _declared_component(fim, s, cfg)
 
 
@@ -112,64 +116,56 @@ def lemma54_check(e, cfg, fixed_curves, rho):
 
 
 def _declared_component(fim, s, cfg):
-    """The component of the fiber that section s is declared to meet,
-    once it is checked against cfg: of multiplicity 1, and the only
-    component s meets, with intersection 1."""
-    if s not in fim.section_meets:
-        raise EvidenceError(f"no incidence recorded for section {s}")
-    comp = fim.section_meets[s]
+    """The component of the fiber that section s meets, checked against
+    cfg: s meets exactly one component, once, and it has multiplicity 1
+    (S.D = 1).  A declared incidence must name that component."""
     mults = fim.fiber.multiplicities
-    if mults.get(comp) != 1:
-        raise EvidenceError(
-            f"section {s} meets component {comp} of multiplicity "
-            f"{mults.get(comp)}, sections meet multiplicity-1 components")
     row = cfg.inter[cfg.index(s)]
     meets = {c: row[cfg.index(c)] for c in mults if row[cfg.index(c)]}
+    terms = ", ".join(f"{s}.{c} = {k}" for c, k in meets.items()) or "all 0"
+    declared = fim.section_meets.get(s)
+    if declared is None and list(meets.values()) != [1]:
+        raise EvidenceError(f"section {s} must meet one component of the {fim.fiber.kind} "
+                            f"fiber on {' '.join(mults)} once, but its intersections "
+                            f"with the fiber are {terms}")
+    comp = declared or next(iter(meets))
+    if mults.get(comp) != 1:
+        raise EvidenceError(f"section {s} meets component {comp} of multiplicity "
+                            f"{mults.get(comp)}, sections meet multiplicity-1 components")
     if meets != {comp: 1}:
-        terms = ", ".join(f"{s}.{c} = {k}" for c, k in meets.items()) or "all 0"
         raise EvidenceError(f"section {s} is declared on component {comp}, "
                             f"but its intersections with the fiber are {terms}")
     return comp
 
 
-def _local_contribution(fim, cfg, zero, p, q):
-    """contr_v(P, Q) = e_P^T (-A_v)^-1 e_Q for one reducible fiber
-    (Shioda, On the Mordell-Weil lattices, 1990); zero, p and q are
-    section names.
-
-    A_v is the Gram of the components other than the one the zero section
-    meets, and e_S holds the intersections of S with them.
-    """
-    zero_comp = _declared_component(fim, zero, cfg)
-    _declared_component(fim, p, cfg)
-    _declared_component(fim, q, cfg)
-    idx = [cfg.index(c) for c in fim.fiber.multiplicities if c != zero_comp]
-    e_p, e_q = ([cfg.inter[cfg.index(s)][j] for j in idx] for s in (p, q))
-    # (-A_v) x = t e_Q, so (x, t) spans the kernel of [-A_v | -e_Q]
-    [(*x, t)] = kernel_basis([[-cfg.inter[i][j] for j in idx] + [-e]
-                              for i, e in zip(idx, e_q)])
-    return Fraction(sum(a * b for a, b in zip(e_p, x)), t)
-
-
 def height_pairing(model, cfg, p, q=None):
-    """Height <P, Q> on the Mordell-Weil group (K3: chi = 2).
+    """Height <P, Q> on the Mordell-Weil group: minus the pairing of the
+    projections of P and Q orthogonal to the trivial lattice T (Shioda,
+    On the Mordell-Weil lattices, 1990, Sec. 8).
 
-    <P,Q> = chi + (P.O) + (Q.O) - (P.Q) - sum_v contr_v(P,Q); for the
-    quadratic form Q = P this is 4 + 2(P.O) - sum contr_v(P) because
-    P.P = -2 on a K3.
+    T is spanned by O, the fiber class F and all but one component of
+    each reducible fiber, so its Gram G_T is U plus negative-definite root
+    lattices, and <P, Q> = b_P^T G_T^-1 b_Q - P.Q with b_S the
+    intersections of S with those generators.  F's row is constant:
+    F.O = 1, F.F = F.Theta = 0, and F.S = 1 for every section; the model
+    must already be validated, which checks that and makes the fibers
+    disjoint.
     """
     if q is None:
         q = p
     for s in (p, q):
         if s not in model.sections:
             raise EvidenceError(f"{s} is not a declared section")
-    dp = DivisorClass.from_dict(cfg, {p: 1})
-    dq = DivisorClass.from_dict(cfg, {q: 1})
-    do = DivisorClass.from_dict(cfg, {model.zero_section: 1})
-    total = Fraction(2) + pairing(dp, do, cfg) + pairing(dq, do, cfg) - pairing(dp, dq, cfg)
-    for fim in model.reducible_fibers:
-        total -= _local_contribution(fim, cfg, model.zero_section, p, q)
-    return total
+    idx = [cfg.index(model.zero_section)] + [
+        cfg.index(c) for fim in model.reducible_fibers
+        for c in list(fim.fiber.multiplicities)[1:]]
+    f_row = [1] + [0] * len(idx)
+    g_t = [[cfg.inter[i][j] for j in idx] + [f] for i, f in zip(idx, f_row)] + [f_row]
+    b_p, b_q = ([cfg.inter[cfg.index(s)][j] for j in idx] + [1] for s in (p, q))
+    # G_T y = t b_Q, so (y, t) spans the kernel of [G_T | -b_Q]
+    [(*y, t)] = kernel_basis([row + [-b] for row, b in zip(g_t, b_q)])
+    pq = cfg.inter[cfg.index(p)][cfg.index(q)]
+    return Fraction(sum(a * b for a, b in zip(b_p, y)), t) - pq
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,9 @@ class MWPlan:
     """How a case certifies Mordell-Weil positivity on each |E_i|.
 
     kind "lemma54" reads the fixed curves and names no sections.  The
-    section plans name the zero section O, a section P != O and the
-    component of E_i each one meets: "height-positive" asks <P,P> > 0,
+    section plans name the zero section O and a section P != O, and may
+    declare the component of E_i each one meets, a claim that
+    FibrationModel.validate checks: "height-positive" asks <P,P> > 0,
     "additive-same-component" asks that P and O meet one component of
     an additive fiber, which a torsion section P != O never does (a
     torsion section and O map into the component group injectively).
@@ -218,7 +215,8 @@ def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
         return False, f"height-positive: <P,P> = {h} is not positive"
     if not fiber.kind.endswith("*"):
         return False, f"additive-same-component: fiber {fiber.kind} is not additive"
-    cz, cp = plan.incidence[plan.zero], plan.incidence[plan.section]
+    cz, cp = (_declared_component(model.reducible_fibers[0], s, cfg)
+              for s in (plan.zero, plan.section))
     if cz == cp:
         return True, (f"additive-same-component: {plan.section} and {plan.zero} meet "
                       f"the same component {cz} of the {fiber.kind} fiber")

@@ -11,11 +11,10 @@ comment.  Directives, in any order (curves: must precede uses):
     rfiber LABEL: NAME=COMPONENT ...   # reducible fiber + section incidence
 
 The diagonal of the intersection matrix is implied -2.  An `rfiber`
-line names a previously declared divisor; its support is classified and
-the NAME=COMPONENT pairs say which component each section meets.  Each
-pair must agree with the meets: lines: the section meets that component
-once and no other component of the fiber, or FibrationModel.validate
-refuses the file.
+line needs a fibration: line and names a declared divisor, whose
+support is classified.  Its NAME=COMPONENT pairs are optional claims
+that FibrationModel.validate checks against the meets: lines; heights
+never read them.
 
 Isometry files for the entropy command are whitespace-separated
 integers: first n, then the n*n entries of G row by row, then the n*n
@@ -62,7 +61,7 @@ def parse_config_text(text):
     meets = []
     raw_divisors = {}
     fibration = None
-    sections = []
+    sections = None
     rfibers = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -104,6 +103,8 @@ def parse_config_text(text):
                 raise FileFormatError(f"bad rho {kv['rho']!r}", line_no) from None
             fibration = (kv["fiber"], kv["zero"], rho, line_no)
         elif line.startswith("sections:"):
+            if sections is not None:
+                raise FileFormatError("duplicate sections: line", line_no)
             sections = line[len("sections:"):].split()
         elif line.startswith("rfiber "):
             head, _, rest = line[len("rfiber "):].partition(":")
@@ -126,34 +127,35 @@ def parse_config_text(text):
         except ValueError as exc:
             raise FileFormatError(str(exc), line_no) from None
 
-    model = None
-    if fibration is not None:
-        flabel, zero, rho, line_no = fibration
-        if flabel not in divisors:
-            raise FileFormatError(f"fiber divisor {flabel!r} not declared", line_no)
-        if not sections:
-            raise FileFormatError("fibration: needs a sections: line", line_no)
-        fims = []
-        owner = {}     # curve -> label of the rfiber whose support holds it
-        for rlabel, incidence, rline in rfibers:
-            if rlabel not in divisors:
-                raise FileFormatError(f"rfiber divisor {rlabel!r} not declared", rline)
-            support = divisors[rlabel].support(cfg)
-            # two fibers of one fibration are disjoint
-            for c in support:
-                if c in owner:
-                    raise FileFormatError(
-                        f"rfiber {rlabel} shares curve {c} with rfiber {owner[c]}", rline)
-            owner.update(dict.fromkeys(support, rlabel))
-            try:
-                fiber = classify_fiber(cfg, support)
-            except ValueError as exc:
-                raise FileFormatError(f"rfiber {rlabel}: {exc}", rline) from None
-            fims.append(FiberInModel(fiber, incidence))
-        model = FibrationModel(
-            rho=rho, fiber_class=divisors[flabel], zero_section=zero,
-            sections=tuple(sections), reducible_fibers=tuple(fims))
-    return ParsedConfig(cfg, divisors, model)
+    if fibration is None:
+        if rfibers:
+            raise FileFormatError("rfiber needs a fibration: line", rfibers[0][2])
+        return ParsedConfig(cfg, divisors, None)
+    flabel, zero, rho, line_no = fibration
+    if flabel not in divisors:
+        raise FileFormatError(f"fiber divisor {flabel!r} not declared", line_no)
+    if not sections:
+        raise FileFormatError("fibration: needs a sections: line", line_no)
+    fims = []
+    owner = {}     # curve -> label of the rfiber whose support holds it
+    for rlabel, incidence, rline in rfibers:
+        if rlabel not in divisors:
+            raise FileFormatError(f"rfiber divisor {rlabel!r} not declared", rline)
+        support = divisors[rlabel].support(cfg)
+        # two fibers of one fibration are disjoint
+        for c in support:
+            if c in owner:
+                raise FileFormatError(
+                    f"rfiber {rlabel} shares curve {c} with rfiber {owner[c]}", rline)
+        owner.update(dict.fromkeys(support, rlabel))
+        try:
+            fiber = classify_fiber(cfg, support)
+        except ValueError as exc:
+            raise FileFormatError(f"rfiber {rlabel}: {exc}", rline) from None
+        fims.append(FiberInModel(fiber, incidence))
+    return ParsedConfig(cfg, divisors, FibrationModel(
+        rho=rho, fiber_class=divisors[flabel], zero_section=zero,
+        sections=tuple(sections), reducible_fibers=tuple(fims)))
 
 
 def parse_config_file(path):
@@ -201,7 +203,9 @@ def dump_config(cfg, divisors=(), comments=()):
 
 
 def dump_case(inst):
-    """Emit one case instance so external tools can re-check it."""
+    """Emit one case instance as a config file: its curves, E1 and E2, and
+    a section plan's fibration: block on E1.  The rest of the case is
+    comments or absent, so the case cannot be re-verified from it."""
     comments = [f"case {inst.case_id}"
                 + (f" (param {inst.param})" if inst.param is not None else "")]
     if inst.triple:

@@ -114,8 +114,13 @@ def test_lemma54_shioda_tate_consistency_randomized():
 # height pairing
 
 def _two_section_model(meet_po=0, fibers=(), incidences=(), rho=10):
-    names = ["O", "P"]
-    meets = [("O", "P", meet_po)] if meet_po else []
+    """O and P with the given reducible fibers and declared incidences.
+    The fiber class F = f1 + f2 is a separate I2 fiber that O and P each
+    meet once, so the model gets past S.F = 1 in validate; heights never
+    read F's curves."""
+    names = ["O", "P", "f1", "f2"]
+    meets = [("f1", "f2", 2), ("O", "f1", 1), ("P", "f2", 1)]
+    meets += [("O", "P", meet_po)] if meet_po else []
     support_names = []
     for support in fibers:
         support_names += list(support[0])
@@ -126,8 +131,7 @@ def _two_section_model(meet_po=0, fibers=(), incidences=(), rho=10):
     fims = []
     for (support, _), inc in zip(fibers, incidences):
         fims.append(FiberInModel(classify_fiber(cfg, support), dict(inc)))
-    # a formal fiber class marker; section incidence with it is not used here
-    fclass = DivisorClass.from_dict(cfg, {})
+    fclass = DivisorClass.from_dict(cfg, {"f1": 1, "f2": 1})
     model = FibrationModel(rho=rho, fiber_class=fclass, zero_section="O",
                            sections=("O", "P"), reducible_fibers=tuple(fims))
     return model, cfg
@@ -194,8 +198,8 @@ def test_height_rejects_multiplicity_two_component():
              ("q1", "m1", 1), ("q2", "m1", 1)]
     model, cfg = _two_section_model(
         fibers=[(support, edges)], incidences=[{"O": "p1", "P": "m0"}])
-    with pytest.raises(EvidenceError):
-        height_pairing(model, cfg, "P")
+    with pytest.raises(EvidenceError, match="section P meets component m0 of multiplicity 2"):
+        model.validate(cfg)
 
 
 def test_contribution_table_symmetry():
@@ -299,18 +303,56 @@ def test_height_matches_the_contribution_table():
     assert placements == 2380
 
 
+def test_height_over_two_fibers_matches_the_contribution_table():
+    """Two disjoint reducible fibers with no declared incidence; O, P and Q
+    on random multiplicity-1 components and meeting each other 0-2 times.
+    Then <P, Q> = 2 + P.O + Q.O - P.Q minus each fiber's table value."""
+    rng = random.Random(29)
+    # per name prefix: (label, fiber, meetings, multiplicity-1 components)
+    shapes = {x: [] for x in "xy"}
+    for label, names, meets in _fiber_shapes():
+        for x, found in shapes.items():
+            renamed = [(x + a, x + b, k) for a, b, k in meets]
+            support = [x + n for n in names]
+            fiber = classify_fiber(make_config(support, renamed), support)
+            ones = sorted(c for c, m in fiber.multiplicities.items() if m == 1)
+            found.append((label, fiber, renamed, ones))
+    for _ in range(300):
+        (lx, fx, mx, ox), (ly, fy, my, oy) = (rng.choice(shapes[x]) for x in "xy")
+        po, qo, pq = (rng.randint(0, 2) for _ in range(3))
+        meets = mx + my + [(a, b, k) for a, b, k in
+                           (("P", "O", po), ("Q", "O", qo), ("P", "Q", pq)) if k]
+        want = 2 + po + qo - pq
+        for label, ones in ((lx, ox), (ly, oy)):
+            o, p, q = (rng.choice(ones) for _ in range(3))
+            meets += [("O", o, 1), ("P", p, 1), ("Q", q, 1)]
+            want -= _table_contribution(label, o[1:], p[1:], q[1:])
+        cfg = make_config(["O", "P", "Q"] + list(fx.multiplicities)
+                          + list(fy.multiplicities), meets)
+        fclass = DivisorClass.from_dict(cfg, fx.multiplicities)
+        model = FibrationModel(rho=20, fiber_class=fclass,
+                               zero_section="O", sections=("O", "P", "Q"),
+                               reducible_fibers=(FiberInModel(fx, {}), FiberInModel(fy, {})))
+        model.validate(cfg)
+        assert height_pairing(model, cfg, "P", "Q") == want, (lx, ly, meets)
+
+
 def test_height_refuses_a_section_meeting_two_components_or_one_twice():
     names = [f"c{i}" for i in range(6)]
     cycle = [(a, b, 1) for a, b in zip(names, names[1:] + names[:1])]
     for extra, terms in (([("P", "c2", 1), ("P", "c3", 1)], "P.c2 = 1, P.c3 = 1"),
                          ([("P", "c2", 2)], "P.c2 = 2"), ([], "all 0")):
-        cfg = make_config(["O", "P"] + names, cycle + [("O", "c0", 1)] + extra)
+        # the fiber class F = f1 + f2 is a separate I2 fiber
+        fclass = [("f1", "f2", 2), ("O", "f1", 1), ("P", "f1", 1)]
+        cfg = make_config(["O", "P", "f1", "f2"] + names,
+                          cycle + fclass + [("O", "c0", 1)] + extra)
         fim = FiberInModel(classify_fiber(cfg, names), {"O": "c0", "P": "c2"})
-        model = FibrationModel(rho=10, fiber_class=DivisorClass.from_dict(cfg, {}),
+        model = FibrationModel(rho=10,
+                               fiber_class=DivisorClass.from_dict(cfg, {"f1": 1, "f2": 1}),
                                zero_section="O", sections=("O", "P"),
                                reducible_fibers=(fim,))
         with pytest.raises(EvidenceError) as exc:
-            height_pairing(model, cfg, "P")
+            model.validate(cfg)
         assert str(exc.value) == ("section P is declared on component c2, but its "
                                   f"intersections with the fiber are {terms}")
 
@@ -324,7 +366,7 @@ def test_height_rejects_zero_section_off_multiplicity_one():
     model, cfg = _two_section_model(fibers=[(names, meets)],
                                     incidences=[{"O": "z", "P": "a01"}])
     with pytest.raises(EvidenceError, match="section O meets component z of multiplicity 3"):
-        height_pairing(model, cfg, "P")
+        model.validate(cfg)
 
 
 # ---------------------------------------------------------------------------

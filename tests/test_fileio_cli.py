@@ -43,6 +43,10 @@ def test_parse_round_trip():
 REPEATED_RFIBER = SAMPLE + "rfiber E: O=c0 P=c2\n"
 RELABELLED_RFIBER = (SAMPLE + "divisor E2: c0=1 c1=1 c2=1 c3=1 c4=1 c5=1\n"
                      "rfiber E2: O=c0 P=c2\n")
+# an rfiber line in a file with no fibration: line (line 4), and the
+# sample with a second sections: line after the first (line 14)
+RFIBER_WITHOUT_FIBRATION = "curves: a b\nmeets: a b 2\ndivisor E: a=1 b=1\nrfiber NOSUCH: O=zz\n"
+SECOND_SECTIONS = SAMPLE.replace("sections: O P\n", "sections: O P\nsections: O\n")
 
 
 @pytest.mark.parametrize("bad,line", [
@@ -54,6 +58,8 @@ RELABELLED_RFIBER = (SAMPLE + "divisor E2: c0=1 c1=1 c2=1 c3=1 c4=1 c5=1\n"
     ("curves: a b\ndivisor D: a=x", 2),
     (REPEATED_RFIBER, 15),
     (RELABELLED_RFIBER, 16),
+    (RFIBER_WITHOUT_FIBRATION, 4),
+    (SECOND_SECTIONS, 14),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(fileio.FileFormatError) as exc:
@@ -116,6 +122,29 @@ def test_cli_mw_and_height(tmp_path, capsys):
     assert cli.run(["height", str(path), "P"]) == 0
     out = capsys.readouterr().out
     assert "<P, P> = 8/3" in out
+
+
+def test_cli_height_needs_no_declared_incidence(tmp_path, capsys):
+    # O's incidence is left out: it is a claim, and heights do not read it
+    path = tmp_path / "cfg.txt"
+    path.write_text(SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: P=c2"))
+    assert cli.run(["height", str(path), "P"]) == 0
+    assert capsys.readouterr().out == "<P, P> = 8/3\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["fiber", "classify", "{file}", "E"], RFIBER_WITHOUT_FIBRATION,
+     "parse error: line 4: rfiber needs a fibration: line\n"),
+    (["height", "{file}", "P"], SECOND_SECTIONS,
+     "parse error: line 14: duplicate sections: line\n"),
+    (["mw", "rank", "{file}"], SECOND_SECTIONS,
+     "parse error: line 14: duplicate sections: line\n"),
+])
+def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.run([str(path) if a == "{file}" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_cli_height_refuses_a_repeated_rfiber(tmp_path, capsys):
@@ -305,6 +334,50 @@ OFF_FIBRATION_ERROR = ("error: reducible fiber I2/III on f1 f2 meets the fiber c
                        "1 times, not 0: it is no fiber of the fibration\n")
 
 
+# two I2 fibers E and D; P meets E once but no component of D (S.D = 0)
+SECTION_OFF_FIBER = """\
+curves: O P e1 e2 f1 f2
+meets: e1 e2 2
+meets: f1 f2 2
+meets: O e1 1
+meets: P e2 1
+meets: O f1 1
+divisor E: e1=1 e2=1
+divisor D: f1=1 f2=1
+fibration: fiber=E zero=O rho=10
+sections: O P
+rfiber D: O=f1
+"""
+SECTION_OFF_FIBER_ERROR = ("error: section P must meet one component of the I2/III fiber "
+                           "on f1 f2 once, but its intersections with the fiber are all 0\n")
+
+
+# two I2 rfibers F and G off the fiber class E that meet each other
+# (f2.g2 = 2), so they are not two fibers of one fibration
+MEETING_FIBERS = """\
+curves: O P e1 e2 f1 f2 g1 g2
+meets: e1 e2 2
+meets: f1 f2 2
+meets: g1 g2 2
+meets: f2 g2 2
+meets: O e1 1
+meets: P e2 1
+meets: O f1 1
+meets: P f2 1
+meets: O g1 1
+meets: P g2 1
+divisor E: e1=1 e2=1
+divisor F: f1=1 f2=1
+divisor G: g1=1 g2=1
+fibration: fiber=E zero=O rho=10
+sections: O P
+rfiber F: O=f1 P=f2
+rfiber G: O=g1 P=g2
+"""
+MEETING_FIBERS_ERROR = ("error: reducible fiber I2/III on g1 g2 meets the reducible fiber "
+                        "I2/III on f1 f2 2 times, not 0: it is no fiber of the fibration\n")
+
+
 # the 6-cycle with P declared on c3, though it meets c2
 CONTRADICTED = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c3")
 CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
@@ -316,8 +389,7 @@ CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
      "error: divisor class is not effective\n"),
     (["height", "{file}", "Q"], SAMPLE, None),
     (["entropy", "{file}"], "1 2 3\n", "error: matrix does not preserve the form\n"),
-    (["height", "{file}", "P"], SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: P=c2"),
-     "error: no incidence recorded for section O\n"),
+    (["height", "{file}", "P"], SECTION_OFF_FIBER, SECTION_OFF_FIBER_ERROR),
     (["height", "{file}", "P"], CENTRE_ZERO,
      "error: section O meets component m of multiplicity 2, "
      "sections meet multiplicity-1 components\n"),
@@ -329,6 +401,11 @@ CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
     (["mw", "rank", "{file}"], CONTRADICTED, CONTRADICTED_ERROR),
     (["height", "{file}", "P"], OFF_FIBRATION, OFF_FIBRATION_ERROR),
     (["mw", "rank", "{file}"], OFF_FIBRATION, OFF_FIBRATION_ERROR),
+    (["mw", "rank", "{file}"], SECTION_OFF_FIBER, SECTION_OFF_FIBER_ERROR),
+    (["height", "{file}", "P"], MEETING_FIBERS, MEETING_FIBERS_ERROR),
+    # an incidence claim for a name that is no section is still checked
+    (["height", "{file}", "P"], SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c2 Z=c1"),
+     "error: unknown curve 'Z'\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
