@@ -20,7 +20,6 @@ from .curves import (
     fiber_class_verdict,
     kinds_compatible,
     make_config,
-    pairing,
     theta_constraints,
 )
 from .errors import K3CertError
@@ -29,7 +28,6 @@ from .fibration import (
     Check,
     Decomposition,
     MWPlan,
-    TriplePointWitness,
     cor32_verify,
     mw_evidence,
     shioda_tate_rank,
@@ -57,8 +55,8 @@ class CaseInstance:
     dec1: Decomposition            # E1 = D1 + a1*R1 + b1*C, with E1 as dec1.e
     dec2: Decomposition
     mw_plan: MWPlan
-    witness: object                # TriplePointWitness or None
     encoding_flags: tuple
+    witness: str | None = None     # note of the fixed-pivot argument when R1 != R2
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,8 @@ def _build_rho11(t):
         phi_fibers=(), phi_rank_expected=None,
         e_kind="I2/III", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=TriplePointWitness(
-            "fixed-pivot",
-            "C is pointwise fixed and gH is the image of H, so any point "
-            "of C.H lies on gH"),
+        witness=("C is pointwise fixed and gH is the image of H, so any point "
+                 "of C.H lies on gH"),
         encoding_flags=(
             "t = H.gH is a free parameter of the template, run over {0,1,2}",
             "R1 = H and R2 = gH differ; the common point comes from the "
@@ -137,7 +133,6 @@ def _build_rho12(_):
         phi_rank_expected=None,
         e_kind="I4", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "C1.H_i = 1 and C2.H_i = 1 by the normalization of the fixed "
             "curves against the bisected fibers H_i + H_i'",
@@ -167,7 +162,6 @@ def _build_rho13(_):
         phi_rank_expected=None,
         e_kind="I6", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "the I0* fiber is 2C2 + F1 + F2 + F3 + F4 with C2 central",
             "F1 meets C1, F2..F4 meet C3: each leaf meets the fixed locus "
@@ -204,7 +198,6 @@ def _build_rho14(_):
         phi_rank_expected=None,
         e_kind="I6", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "F44-type curves meet C4 at two distinct points (intersection "
             "number 2)",
@@ -241,7 +234,6 @@ def _build_rho15(_):
         phi_rank_expected=None,
         e_kind="I8", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "three I0* fibers centered at C2, C3, C4; C3 stays off "
             "Supp E_i and is orthogonal to both",
@@ -285,7 +277,6 @@ def _build_rho16(_):
         phi_rank_expected=None,
         e_kind="I12", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "the I2* fibers have double chains C2-G23-C3 and C4-G45-C5 with "
             "multiplicity-1 leaves F13, F36 / F26, F26' and F15, F56 / F46, F46'",
@@ -328,7 +319,6 @@ def _build_rho17(_):
         phi_rank_expected=None,
         e_kind="I14", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "the I4* fiber's chain is C4-G45-C5-G56-C6 with leaves F47, "
             "F47' at C4 and F61, F67 at C6",
@@ -368,7 +358,6 @@ def _build_rho18_delta0(_):
         phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "the delta = 0 case: fibers I0* + I8* (discriminant forms of "
             "D4 and D12 are integer valued)",
@@ -410,7 +399,6 @@ def _build_rho18_delta1(_):
         phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "the delta = 1 companion of rank 18: one I10* fiber plus two "
             "I2 fibers from the A1 summands",
@@ -448,7 +436,6 @@ def _build_rho19(_):
         phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("lemma54"),
-        witness=None,
         encoding_flags=(
             "C1 stays off Supp E_i with C1.E_i = 0; Mordell-Weil "
             "positivity is the k-1 case",
@@ -490,7 +477,6 @@ def _build_rho20(_):
         e_kind="IV*", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("additive-same-component", "G23", "G34",
                        {"G23": "C3", "G34": "C3"}),
-        witness=None,
         encoding_flags=(
             "the fiber list of the IV* fibrations |E_i| is not declared "
             "complete; positivity comes from the additive component-group "
@@ -531,7 +517,6 @@ def _build_singular_k3(variant):
         phi_rank_expected=2 if variant == "none" else 1,
         e_kind="I12*", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("height-positive", "a8", "b8", {"a8": "a7", "b8": "b7"}),
-        witness=None,
         encoding_flags=(
             "NS = U + E8^2 + N with N opaque (det N not in {3,4}); no "
             "2-elementary invariant check applies",
@@ -725,8 +710,8 @@ def qbasis_check(drop=None, duplicate=None):
         classes = [c for c in classes if c != drop]
     if duplicate is not None:
         classes = classes + [duplicate]
-    vecs = [DivisorClass.from_dict(cfg, {c: 1}) for c in classes]
-    g = [[pairing(x, y, cfg) for y in vecs] for x in vecs]
+    idx = [cfg.index(c) for c in classes]
+    g = [[cfg.inter[i][j] for j in idx] for i in idx]
     d = det_exact(g)
     return d, d != 0
 

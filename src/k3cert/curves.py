@@ -1,11 +1,11 @@
 """Configurations of (-2)-curves, divisor classes and Kodaira fiber
 recognition from weighted dual graphs.
 
-A connected fiber support is accepted when the kernel of its restricted
-intersection matrix is spanned by one primitive vector of one sign
-(Zariski's lemma): that vector gives the component multiplicities, and
-the graph shape decides the Kodaira kind.  Inertia is computed only for
-the refusal message.
+A fiber support is accepted when the kernel of its restricted
+intersection matrix is spanned by one positive vector (Zariski's lemma):
+that vector gives the component multiplicities, and the graph shape
+decides the Kodaira kind.  A disconnected support never passes, so
+connectivity, like inertia, is computed only to word a refusal.
 Two curves meeting twice cannot be told apart from a tangential meeting
 at the lattice level, so a 2-component fiber is reported as "I2/III".
 """
@@ -30,15 +30,20 @@ class FiberError(K3CertError):
 class CurveConfig:
     curve_names: tuple
     inter: tuple  # symmetric tuple-of-tuples, diagonal -2
+    pos: dict = field(compare=False, repr=False)  # curve name -> index
 
     def index(self, name):
         try:
-            return self.curve_names.index(name)
-        except ValueError:
+            return self.pos[name]
+        except KeyError:
             raise ConfigError(f"unknown curve {name!r}") from None
 
     def meet(self, a, b):
         return self.inter[self.index(a)][self.index(b)]
+
+    def meet_class(self, name, d):
+        """C . D for the curve C of that name and a divisor class D."""
+        return sum(k * c for k, c in zip(self.inter[self.index(name)], d.coeffs))
 
     @property
     def size(self):
@@ -66,7 +71,7 @@ def make_config(names, meetings):
             raise ConfigError("intersection numbers are nonnegative off the diagonal")
         i, j = pos[a], pos[b]
         m[i][j] = m[j][i] = k
-    return CurveConfig(tuple(names), tuple(tuple(r) for r in m))
+    return CurveConfig(tuple(names), tuple(tuple(r) for r in m), pos)
 
 
 @dataclass(frozen=True)
@@ -120,31 +125,15 @@ class KodairaFiber:
         return len(self.multiplicities)
 
 
-def _adjacency(cfg, support):
-    adj = {c: [] for c in support}
-    for a in support:
-        ia = cfg.index(a)
-        for b in support:
-            if a < b:
-                k = cfg.inter[ia][cfg.index(b)]
-                if k > 0:
-                    adj[a].append((b, k))
-                    adj[b].append((a, k))
-    return adj
-
-
-def _connected(adj, support):
-    if not support:
-        return False
-    seen = {support[0]}
-    stack = [support[0]]
+def _connected(sub):
+    seen, stack = {0}, [0]
     while stack:
-        c = stack.pop()
-        for b, _ in adj[c]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == len(support)
+        i = stack.pop()
+        for j, k in enumerate(sub[i]):
+            if k > 0 and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(sub)
 
 
 def classify_fiber(cfg, support):
@@ -157,19 +146,20 @@ def classify_fiber(cfg, support):
     support = list(support)
     if not support:
         raise FiberError("empty support")
-    adj = _adjacency(cfg, support)
-    if not _connected(adj, support):
-        raise FiberError("support is not connected")
     idx = [cfg.index(c) for c in support]
     sub = [[cfg.inter[i][j] for j in idx] for i in idx]
     r = len(support)
-    # The diagonal is -2 and the support is connected, so the off-diagonal
-    # part is nonnegative and irreducible.  By Perron-Frobenius the
+    # The diagonal is -2 and the off-diagonal part is nonnegative.  On a
+    # connected support it is irreducible, and by Perron-Frobenius the
     # signature is (0, r-1, 1) exactly when the kernel is one line spanned
     # by a positive vector; kernel_basis makes that vector primitive and
-    # positive at its free column.
+    # positive at its free column.  A disconnected support never passes:
+    # its kernel is the direct sum of its blocks' kernels, so it has
+    # dimension != 1 or its one vector is 0 on a block.
     kern = kernel_basis(sub)
     if len(kern) != 1 or any(x <= 0 for x in kern[0]):
+        if not _connected(sub):
+            raise FiberError("support is not connected")
         raise FiberError(
             f"intersection matrix has inertia {inertia(sub)}, "
             f"not the fiber signature (0, {r-1}, 1)")
@@ -179,13 +169,13 @@ def classify_fiber(cfg, support):
     # so the shape only has to name the Kodaira kind.
     if r == 2:
         return KodairaFiber("I2/III", mults)
-    degree = {c: len(adj[c]) for c in support}
-    branch = [c for c in support if degree[c] >= 3]
+    degree = [sum(k > 0 for k in row) for row in sub]
+    branch = [d for d in degree if d >= 3]
     if not branch:
         return KodairaFiber(f"I{r}", mults)
     if len(branch) == 2:
         return KodairaFiber(f"I{r - 5}*", mults)
-    if degree[branch[0]] == 4:
+    if branch[0] == 4:
         return KodairaFiber("I0*", mults)
     # E~6, E~7, E~8: one node of degree 3
     return KodairaFiber({7: "IV*", 8: "III*", 9: "II*"}[r], mults)
@@ -259,7 +249,6 @@ def theta_constraints(cfg, fixed_curves, fiber_classes=()):
         for b in fixed_curves[i + 1:]:
             if cfg.meet(a, b) != 0:
                 problems.append(f"fixed curves {a} and {b} meet ({cfg.meet(a, b)})")
-    csum = DivisorClass.from_dict(cfg, {c: 1 for c in fixed_curves})
     fixed = {cfg.index(c) for c in fixed_curves}
     for i, (h, row) in enumerate(zip(cfg.curve_names, cfg.inter)):
         if i in fixed:
@@ -268,7 +257,7 @@ def theta_constraints(cfg, fixed_curves, fiber_classes=()):
         if v != 2:
             problems.append(f"C.{h} = {v}, expected 2")
     for label, f in fiber_classes:
-        v = pairing(csum, f, cfg)
+        v = sum(cfg.meet_class(c, f) for c in fixed_curves)
         if v != 4:
             problems.append(f"C.{label} = {v}, expected 4")
     return problems

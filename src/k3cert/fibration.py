@@ -50,7 +50,7 @@ class FibrationModel:
         if self.zero_section not in self.sections:
             raise EvidenceError("zero section is not among the declared sections")
         for s in self.sections:
-            v = pairing(DivisorClass.from_dict(cfg, {s: 1}), self.fiber_class, cfg)
+            v = cfg.meet_class(s, self.fiber_class)
             if v != 1:
                 raise EvidenceError(f"section {s} meets the fiber class {v} times, not 1")
         earlier = [(self.fiber_class, "the fiber class")]   # two fibers are disjoint
@@ -64,7 +64,7 @@ class FibrationModel:
                     raise EvidenceError(f"reducible fiber {on} meets {other_on} {v} times, "
                                         "not 0: it is no fiber of the fibration")
             earlier.append((d, f"the reducible fiber {on}"))
-            for s in dict.fromkeys((*self.sections, *fim.section_meets)):
+            for s in self.sections:
                 _declared_component(fim, s, cfg)
 
 
@@ -103,7 +103,7 @@ def lemma54_check(e, cfg, fixed_curves, rho):
         return False, f"case1:r<rho-1: r={r} is not < rho-1={rho-1}"
     if len(inside) == k - 1:
         missing = [c for c in fixed_curves if c not in supp][0]
-        ce = pairing(DivisorClass.from_dict(cfg, {missing: 1}), e, cfg)
+        ce = cfg.meet_class(missing, e)
         if ce != 0:
             return (False, f"case2:missing-orthogonal: missing fixed curve {missing} "
                            f"has C.E={ce}, expected 0")
@@ -192,6 +192,9 @@ class MWPlan:
             raise EvidenceError(f"unknown evidence plan {self.kind!r}")
         if self.section == self.zero:
             raise EvidenceError("P must differ from the zero section")
+        for s in self.incidence:
+            if s not in (self.zero, self.section):
+                raise EvidenceError(f"incidence for {s}, which is not a section of the plan")
 
 
 def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
@@ -237,26 +240,11 @@ class Decomposition:
     def check_shape(self, cfg):
         if self.a <= 0 or self.b <= 0:
             raise EvidenceError("decomposition needs a > 0 and b > 0")
-        d = self.e + DivisorClass.from_dict(cfg, {self.r_curve: -self.a}) \
-            + DivisorClass.from_dict(cfg, {self.c_curve: -self.b})
-        if not d.is_effective():
+        d = list(self.e.coeffs)
+        d[cfg.index(self.r_curve)] -= self.a
+        d[cfg.index(self.c_curve)] -= self.b
+        if min(d) < 0:
             raise EvidenceError("D part of the decomposition must be effective")
-
-
-@dataclass(frozen=True)
-class TriplePointWitness:
-    """Input evidence for C ∩ R1 ∩ R2 != 0 when R1 != R2.
-
-    kind "fixed-pivot": the pivot C is pointwise fixed by an automorphism
-    g with R2 = g(R1); any point of C ∩ R1 then lies on R2 as well, so
-    consistency demands only C.R1 > 0 and C.R2 > 0.
-    """
-    kind: str
-    note: str = ""
-
-    def __post_init__(self):
-        if self.kind != "fixed-pivot":
-            raise EvidenceError(f"unknown triple-point witness {self.kind!r}")
 
 
 class Check(NamedTuple):
@@ -281,6 +269,11 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, fiber_verdicts, witness=None):
     common-point condition on C, R1, R2.  fiber_verdicts holds the
     fiber_class_verdict of E1 and E2, and ev1, ev2 the (ok, detail) of
     their Mordell-Weil evidence.
+
+    When R1 != R2 the common point needs a fixed-pivot witness, given as
+    its note: the pivot C is pointwise fixed by an automorphism g with
+    R2 = g(R1), so any point of C ∩ R1 lies on R2 as well, and
+    consistency demands only C.R1 > 0 and C.R2 > 0.
     """
     checks = []
     for i, dec in enumerate((dec1, dec2), 1):
@@ -307,19 +300,18 @@ def cor32_verify(dec1, dec2, ev1, ev2, cfg, fiber_verdicts, witness=None):
     checks.append(Check.of("pivot-distinct", c != r1 and c != r2,
                            f"C={c}, R1={r1}, R2={r2}"))
     try:
-        dc = DivisorClass.from_dict(cfg, {c: 1})
+        c_row = cfg.inter[cfg.index(c)]
         if r1 == r2:
-            v = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
+            v = c_row[cfg.index(r1)]
             checks.append(Check.of("common-point", v > 0, f"R1 = R2 and C.R1 = {v}"))
         elif witness is None:
             checks.append(Check("common-point", "FAIL",
                                 "R1 != R2 but no triple-point witness declared"))
         else:
-            cr1 = pairing(dc, DivisorClass.from_dict(cfg, {r1: 1}), cfg)
-            cr2 = pairing(dc, DivisorClass.from_dict(cfg, {r2: 1}), cfg)
+            cr1, cr2 = c_row[cfg.index(r1)], c_row[cfg.index(r2)]
             checks.append(Check.of(
                 "common-point", cr1 > 0 and cr2 > 0,
-                f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness.note})"))
+                f"fixed-pivot witness: C.R1 = {cr1}, C.R2 = {cr2} ({witness})"))
     except ConfigError as exc:  # C, R1 or R2 is not a curve of the configuration
         checks.append(Check("common-point", "FAIL", str(exc)))
     return tuple(checks)

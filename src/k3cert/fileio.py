@@ -10,11 +10,14 @@ comment.  Directives, in any order (curves: must precede uses):
     sections: NAME NAME ...
     rfiber LABEL: NAME=COMPONENT ...   # reducible fiber + section incidence
 
-The diagonal of the intersection matrix is implied -2.  An `rfiber`
-line needs a fibration: line and names a declared divisor, whose
-support is classified.  Its NAME=COMPONENT pairs are optional claims
-that FibrationModel.validate checks against the meets: lines; heights
-never read them.
+The diagonal of the intersection matrix is implied -2.  The fibration's
+fiber divisor must be a fiber class.  Its curves are (-2)-curves, so its
+fiber is always one of the reducible fibers, whether or not an `rfiber`
+line declares it.  An `rfiber` line needs a fibration: line and names a
+declared divisor, whose support is classified.  Its NAME=COMPONENT pairs
+are optional claims that FibrationModel.validate checks against the
+meets: lines; each NAME must be a declared section, and heights never
+read them.
 
 Isometry files for the entropy command are whitespace-separated
 integers: first n, then the n*n entries of G row by row, then the n*n
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import DivisorClass, classify_fiber, make_config
+from .curves import DivisorClass, classify_fiber, fiber_class_verdict, make_config
 from .errors import K3CertError
 from .fibration import FiberInModel, FibrationModel
 
@@ -136,6 +139,11 @@ def parse_config_text(text):
         raise FileFormatError(f"fiber divisor {flabel!r} not declared", line_no)
     if not sections:
         raise FileFormatError("fibration: needs a sections: line", line_no)
+    ok, f_fiber, diag = fiber_class_verdict(divisors[flabel], cfg)
+    if not ok:
+        raise FileFormatError(f"fiber divisor {flabel!r} is not a fiber class ({diag})", line_no)
+    f_support = divisors[flabel].support(cfg)
+    f_declared = False
     fims = []
     owner = {}     # curve -> label of the rfiber whose support holds it
     for rlabel, incidence, rline in rfibers:
@@ -148,11 +156,20 @@ def parse_config_text(text):
                 raise FileFormatError(
                     f"rfiber {rlabel} shares curve {c} with rfiber {owner[c]}", rline)
         owner.update(dict.fromkeys(support, rlabel))
-        try:
-            fiber = classify_fiber(cfg, support)
-        except ValueError as exc:
-            raise FileFormatError(f"rfiber {rlabel}: {exc}", rline) from None
+        for s in incidence:
+            cfg.index(s)    # a name that is no curve is reported as such
+            if s not in sections:
+                raise FileFormatError(f"rfiber {rlabel}: {s} is not a declared section", rline)
+        if support == f_support:
+            fiber, f_declared = f_fiber, True
+        else:
+            try:
+                fiber = classify_fiber(cfg, support)
+            except ValueError as exc:
+                raise FileFormatError(f"rfiber {rlabel}: {exc}", rline) from None
         fims.append(FiberInModel(fiber, incidence))
+    if not f_declared:
+        fims.insert(0, FiberInModel(f_fiber, {}))
     return ParsedConfig(cfg, divisors, FibrationModel(
         rho=rho, fiber_class=divisors[flabel], zero_section=zero,
         sections=tuple(sections), reducible_fibers=tuple(fims)))

@@ -187,20 +187,26 @@ def test_evidence_is_sought_per_candidate_on_certified_fiber_classes():
 
 
 def test_verify_all_classifies_each_candidate_once(monkeypatch):
-    # 52 phi fibers plus one classification per E_i on the 16 rows
-    from k3cert import cli, curves, fibration, fileio
+    # 52 phi fibers plus one classification per E_i on the 16 rows; each
+    # classification is one kernel, plus one per height on the three
+    # singular-k3 rows, and no classification needs inertia
+    from k3cert import cli, curves, exactlinalg, fibration, fileio, lattices, spectral
     import k3cert.cases as cases_mod
-    calls = []
-    original = curves.classify_fiber
+    calls = {"classify_fiber": [], "kernel_basis": [], "inertia": []}
+    modules = (exactlinalg, lattices, spectral, curves, cases_mod, fibration, fileio, cli)
+    for name, calls_of in calls.items():
+        original = getattr(curves, name)
 
-    def counted(cfg, support):
-        calls.append(tuple(support))
-        return original(cfg, support)
-    for mod in (curves, cases_mod, fibration, fileio, cli):
-        if getattr(mod, "classify_fiber", None) is original:
-            monkeypatch.setattr(mod, "classify_fiber", counted)
+        def counted(*args, _original=original, _calls=calls_of):
+            _calls.append(args)
+            return _original(*args)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
     reports = verify_all()
-    assert len(calls) == 52 + 2 * len(reports) == 84
+    assert len(calls["classify_fiber"]) == 52 + 2 * len(reports) == 84
+    assert len(calls["kernel_basis"]) == 84 + 2 * 3 == 90
+    assert calls["inertia"] == []
 
 
 def test_theta_constraints_hold_for_all_records():

@@ -209,3 +209,50 @@ def test_theta_constraints():
                            [("C1", "C2", 1), ("C1", "H", 1), ("C2", "H", 1)])
     problems = theta_constraints(cfg_meet, ("C1", "C2"), [])
     assert any("C1" in p and "C2" in p for p in problems)
+
+
+# affine diagrams (fiber supports: I2 by a double bond, I3, I4, I0*, IV*)
+# and A_n chains (negative definite), as (size, weighted edges)
+_FIBER_SHAPES = [(2, [(0, 1, 2)]), (3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
+                 (4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]),
+                 (5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]),
+                 (7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)])]
+_FAR_CURVE = (1, [])
+
+
+def _chain(n):
+    return n, [(i, i + 1, 1) for i in range(n - 1)]
+
+
+def _disjoint_blocks(rng, blocks):
+    """The blocks as one support of pairwise disjoint pieces, under shuffled
+    names and in shuffled order.  A bridge curve outside the support meets
+    one curve of every block, so the whole configuration is connected."""
+    names, meets, offset = [], [], 0
+    for size, edges in blocks:
+        block = [f"b{offset + i}" for i in range(size)]
+        rng.shuffle(block)
+        meets += [(block[i], block[j], k) for i, j, k in edges]
+        meets.append(("bridge", rng.choice(block), 1))
+        names += block
+        offset += size
+    support = names[:]
+    rng.shuffle(support)
+    return make_config(["bridge"] + names, meets), support
+
+
+def test_disconnected_supports_are_refused_as_not_connected():
+    rng = random.Random(20261020)
+    families = [
+        lambda: [rng.choice(_FIBER_SHAPES), _FAR_CURVE],                # kernel 1, 0 on the far curve
+        lambda: [rng.choice(_FIBER_SHAPES), rng.choice(_FIBER_SHAPES)],  # kernel 2
+        lambda: [_chain(rng.randint(1, 4)), _chain(rng.randint(1, 4))],  # kernel 0
+    ]
+    for family in families:
+        for _ in range(20):
+            blocks = family()
+            rng.shuffle(blocks)
+            cfg, support = _disjoint_blocks(rng, blocks)
+            with pytest.raises(FiberError) as exc:
+                classify_fiber(cfg, support)
+            assert str(exc.value) == "support is not connected", (blocks, support)

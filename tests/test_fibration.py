@@ -15,7 +15,6 @@ from k3cert.fibration import (
     FiberInModel,
     FibrationModel,
     MWPlan,
-    TriplePointWitness,
     cor32_verify,
     height_pairing,
     lemma54_check,
@@ -471,13 +470,8 @@ def test_cor32_needs_witness_when_r_curves_differ():
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks}
     # a fixed-pivot witness needs C.R positive for both curves; C.A' = 0 here
     checks2 = cor32_verify(dec1, dec2b, ev, ev, cfg, _verdicts(cfg, dec1, dec2b),
-                           witness=TriplePointWitness("fixed-pivot"))
+                           witness="C is pointwise fixed")
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks2}
-
-
-def test_triple_point_witness_is_fixed_pivot_only():
-    with pytest.raises(EvidenceError, match="unknown triple-point witness 'declared'"):
-        TriplePointWitness("declared", "an asserted common point")
 
 
 def test_cor32_reports_bad_decomposition():
@@ -497,3 +491,9 @@ def test_cor32_propagates_evidence_failure():
     fail = (False, "case1:r<rho-1: synthetic failure")
     checks = cor32_verify(dec1, dec2, ev, fail, cfg, _verdicts(cfg, dec1, dec2))
     assert Check("mw-evidence-E2", "FAIL", "case1:r<rho-1: synthetic failure") in checks
+
+
+def test_plan_incidence_names_only_its_sections():
+    with pytest.raises(EvidenceError) as exc:
+        MWPlan("height-positive", "O", "P", {"O": "c0", "P": "c2", "c4": "c1"})
+    assert str(exc.value) == "incidence for c4, which is not a section of the plan"

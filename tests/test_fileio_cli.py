@@ -47,6 +47,20 @@ RELABELLED_RFIBER = (SAMPLE + "divisor E2: c0=1 c1=1 c2=1 c3=1 c4=1 c5=1\n"
 # sample with a second sections: line after the first (line 14)
 RFIBER_WITHOUT_FIBRATION = "curves: a b\nmeets: a b 2\ndivisor E: a=1 b=1\nrfiber NOSUCH: O=zz\n"
 SECOND_SECTIONS = SAMPLE.replace("sections: O P\n", "sections: O P\nsections: O\n")
+# a fiber divisor that is no fiber class, an A2 chain (line 6), and the
+# sample with an incidence for the curve c4, which is no section (line 14)
+CHAIN_FIBER = """\
+curves: O P c0 c1
+meets: c0 c1 1
+meets: O c0 1
+meets: P c1 1
+divisor E: c0=1 c1=1
+fibration: fiber=E zero=O rho=10
+sections: O P
+"""
+CHAIN_FIBER_ERROR = ("parse error: line 6: fiber divisor 'E' is not a fiber class "
+                     "(self-intersection -2 != 0)\n")
+NON_SECTION_INCIDENCE = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c2 c4=c1")
 
 
 @pytest.mark.parametrize("bad,line", [
@@ -60,6 +74,8 @@ SECOND_SECTIONS = SAMPLE.replace("sections: O P\n", "sections: O P\nsections: O\
     (RELABELLED_RFIBER, 16),
     (RFIBER_WITHOUT_FIBRATION, 4),
     (SECOND_SECTIONS, 14),
+    (CHAIN_FIBER, 6),
+    (NON_SECTION_INCIDENCE, 14),
 ])
 def test_parse_errors_carry_line_numbers(bad, line):
     with pytest.raises(fileio.FileFormatError) as exc:
@@ -139,12 +155,29 @@ def test_cli_height_needs_no_declared_incidence(tmp_path, capsys):
      "parse error: line 14: duplicate sections: line\n"),
     (["mw", "rank", "{file}"], SECOND_SECTIONS,
      "parse error: line 14: duplicate sections: line\n"),
+    (["height", "{file}", "P"], CHAIN_FIBER, CHAIN_FIBER_ERROR),
+    (["mw", "rank", "{file}"], CHAIN_FIBER, CHAIN_FIBER_ERROR),
+    (["fiber", "classify", "{file}", "E"], CHAIN_FIBER, CHAIN_FIBER_ERROR),
+    (["height", "{file}", "P"], NON_SECTION_INCIDENCE,
+     "parse error: line 14: rfiber E: c4 is not a declared section\n"),
 ])
 def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
     path.write_text(text)
     assert cli.run([str(path) if a == "{file}" else a for a in argv]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+def test_cli_fiber_class_is_a_reducible_fiber_without_its_rfiber(tmp_path, capsys):
+    # the fiber class is made of (-2)-curves, so it is a reducible fiber
+    # whether or not an rfiber line declares it
+    path = tmp_path / "cfg.txt"
+    path.write_text(SAMPLE.replace("rfiber E: O=c0 P=c2\n", ""))
+    assert cli.run(["height", str(path), "P"]) == 0
+    assert capsys.readouterr().out == "<P, P> = 8/3\n"
+    assert cli.run(["mw", "rank", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "rho: 10\nreducible fibers: I6(6)\nshioda-tate rank: 3\n")
 
 
 def test_cli_height_refuses_a_repeated_rfiber(tmp_path, capsys):
