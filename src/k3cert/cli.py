@@ -43,12 +43,7 @@ def _print_lattice_info(info, as_json):
 
 
 def cmd_lattice(args):
-    try:
-        info = lattice_info(args.expr)
-    except LatticeParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_lattice_info(info, args.json)
+    _print_lattice_info(lattice_info(args.expr), args.json)
     return EXIT_OK
 
 
@@ -211,7 +206,7 @@ def run(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except fileio.FileFormatError as exc:
+    except (fileio.FileFormatError, LatticeParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (K3CertError, FileNotFoundError) as exc:

@@ -94,12 +94,6 @@ class DivisorClass:
     def is_effective(self):
         return all(c >= 0 for c in self.coeffs)
 
-    def __add__(self, other):
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, k):
-        return DivisorClass(tuple(k * c for c in self.coeffs))
-
 
 def pairing(d1, d2, cfg):
     """Intersection number D1 . D2 in the configuration."""

@@ -70,34 +70,55 @@ def transpose(m):
     return [[m[i][j] for i in range(r)] for j in range(c)]
 
 
+def _echelon(m):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix
+    (Cohen, GTM 138, section 2.2): (rows, pivot columns, sign of the row
+    permutation).  The pivot of each column is its first nonzero entry on
+    or below the current row.  After k pivots every entry right of the
+    pivots is a (k+1)-minor divided exactly by the k-minor prev, so the
+    pivot of row t is the minor of the first t+1 permuted rows on the
+    first t+1 pivot columns.  Entries left of a row's pivot are stale,
+    not zeroed.
+    """
+    r, c = dims(m)
+    a = copy_matrix(m)
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(c):
+        row = len(pivots)
+        if row == r:
+            break
+        sel = next((i for i in range(row, r) if a[i][col]), None)
+        if sel is None:
+            continue
+        if sel != row:
+            a[row], a[sel] = a[sel], a[row]
+            sign = -sign
+        p = a[row][col]
+        tail = a[row][col + 1:]
+        for i in range(row + 1, r):
+            f = a[i][col]
+            if f:
+                a[i][col + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][col + 1:], tail)]
+            elif p != prev:
+                # nothing to eliminate, so only rescale; most rows of a
+                # block-diagonal Gram land here, and skip it when p == prev
+                a[i][col + 1:] = [p * x // prev for x in a[i][col + 1:]]
+        pivots.append(col)
+        prev = p
+    return a, pivots, sign
+
+
 def det_exact(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last pivot of the Bareiss echelon."""
     r, c = dims(m)
     if r != c:
         raise NonSquareError("determinant needs a square matrix")
-    n = r
-    if n == 0:
+    if r == 0:
         return 1
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division: Bareiss identity
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    a, pivots, sign = _echelon(m)
+    return sign * a[r - 1][r - 1] if len(pivots) == r else 0
 
 
 def smith_normal_form(m):
@@ -279,78 +300,37 @@ def _clear_cross(a, t, mod):
 def inertia(m):
     """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Symmetric fraction-free (Bareiss) elimination.  After k pivots every
-    trailing entry is a (k+1)-minor divided exactly by the k-minor prev,
-    so the k-th pivot of the rational LDL^T is a[k][k] / prev and its
-    sign is the product of their signs.  When every remaining diagonal
-    entry vanishes but some off-diagonal entry does not, a row+column
-    addition creates a usable diagonal pivot (hyperbolic 2x2 blocks); it
-    is a congruence, and the trailing entries stay minors.
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact on its characteristic polynomial p: p has as many
+    positive roots as sign changes, p(-x) as many as there are negative
+    roots, and 0 is a root of multiplicity the index of p's first
+    nonzero coefficient.
     """
     if not is_symmetric(m):
         raise NonSymmetricError("inertia needs a symmetric matrix")
-    n = len(m)
-    a = copy_matrix(m)
-    n_plus = n_minus = 0
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i]), None)
-        if piv is None:
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
-            if off is None:
-                return n_plus, n_minus, n - k
-            i, j = off
-            # congruence: row_i += row_j, col_i += col_j; diagonal gains 2*a[i][j]
-            for t in range(k, n):
-                a[i][t] += a[j][t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        p = a[k][k]
-        if (p > 0) == (prev > 0):
-            n_plus += 1
-        else:
-            n_minus += 1
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], tail)]
-        prev = p
-    return n_plus, n_minus, 0
+    p = char_poly(m)
+    return (_sign_changes(p),
+            _sign_changes([-x if k % 2 else x for k, x in enumerate(p)]),
+            next(k for k, x in enumerate(p) if x))
+
+
+def _sign_changes(coeffs):
+    """Sign changes in a sequence, zeros skipped."""
+    signs = [x > 0 for x in coeffs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def kernel_basis(m):
     """Rational kernel of an integer matrix, as primitive integer vectors.
 
-    Fraction-free (Bareiss) row echelon form, then integer back
-    substitution that scales the vector whenever a pivot does not divide.
+    The Bareiss echelon of _echelon, then integer back substitution
+    that scales the vector whenever a pivot does not divide.
     The vector of the t-th free column is positive there and 0 at the
     other free columns: the primitive positive multiple of the kernel
     vector that the reduced row echelon form gives for that column.
     """
-    r, c = dims(m)
-    a = copy_matrix(m)
-    pivots = []
-    prev = 1
-    for col in range(c):
-        row = len(pivots)
-        if row == r:
-            break
-        sel = next((i for i in range(row, r) if a[i][col]), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        p = a[row][col]
-        tail = a[row][col + 1:]
-        for i in range(row + 1, r):
-            f = a[i][col]
-            a[i][col + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][col + 1:], tail)]
-        pivots.append(col)
-        prev = p
+    c = dims(m)[1]
+    a, pivots, _ = _echelon(m)
     pivot_set = set(pivots)
     basis = []
     for fj in range(c):

@@ -16,8 +16,8 @@ fiber is always one of the reducible fibers, whether or not an `rfiber`
 line declares it.  An `rfiber` line needs a fibration: line and names a
 declared divisor, whose support is classified.  Its NAME=COMPONENT pairs
 are optional claims that FibrationModel.validate checks against the
-meets: lines; each NAME must be a declared section, and heights never
-read them.
+meets: lines; each NAME must be a declared section, each COMPONENT a
+curve of that divisor's support, and heights never read them.
 
 Isometry files for the entropy command are whitespace-separated
 integers: first n, then the n*n entries of G row by row, then the n*n
@@ -160,6 +160,9 @@ def parse_config_text(text):
             cfg.index(s)    # a name that is no curve is reported as such
             if s not in sections:
                 raise FileFormatError(f"rfiber {rlabel}: {s} is not a declared section", rline)
+            if incidence[s] not in support:
+                raise FileFormatError(
+                    f"rfiber {rlabel}: {s}={incidence[s]} names no component of {rlabel}", rline)
         if support == f_support:
             fiber, f_declared = f_fiber, True
         else:

@@ -160,8 +160,8 @@ def _torsion_witness(cfg, e, d):
     t = {"a1": 7, "a2": 6, "a3": 5, "a4": 4, "a5": 3, "a6": 2, "a9": 1,
          d: 8, "b1": 9, "b2": 10, "b3": 11, "b4": 12, "b5": 13, "b6": 14,
          "b7": 8, "b9": 7}
-    return (DivisorClass.from_dict(cfg, {"b8": 2, "a8": -2, **t})
-            + e.scale(-4))
+    base = DivisorClass.from_dict(cfg, {"b8": 2, "a8": -2, **t})
+    return DivisorClass(tuple(b - 4 * c for b, c in zip(base.coeffs, e.coeffs)))
 
 
 def test_criterion_3_surgered_fibration_replay():

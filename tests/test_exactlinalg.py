@@ -565,6 +565,59 @@ def test_kernel_matches_fraction_reference_on_rectangular_matrices():
         assert kernel_basis(m) == _frac_kernel_basis(m), m
 
 
+def _congruent(rng, m):
+    s = random_unimodular(rng, len(m))
+    return mat_mul(transpose(s), mat_mul(m, s))
+
+
+def test_inertia_by_descartes_matches_fraction_reference_on_hard_grams():
+    from k3cert.lattices import gram_of
+    rng = random.Random(113)
+    # zero-diagonal hyperbolic blocks, and repeated eigenvalues
+    grams = [gram_of(e).gram_rows() for e in
+             ("U", "U^2", "U^3", "U^4", "U(2)+U", "U(3)+U(2)+U",
+              "A1^3+U", "A1^6+U", "A1(-1)^4+U^2", "E8+E8+U")]
+    grams += [_congruent(rng, g) for g in grams]
+    # rank-deficient: the Gram of n + k vectors spanning a rank-n lattice
+    for expr in ("A2+U", "D4", "U(2)+A1^2", "E6"):
+        g = gram_of(expr).gram_rows()
+        n = len(g)
+        s = [[rng.randint(-2, 2) for _ in range(n + 2)] for _ in range(n)]
+        grams.append(mat_mul(transpose(s), mat_mul(g, s)))
+    for m in grams:
+        assert inertia(m) == _frac_inertia(m), m
+    assert inertia([]) == _frac_inertia([]) == (0, 0, 0)
+
+
+def test_inertia_with_entries_past_two_to_the_31():
+    from k3cert.lattices import gram_of
+    rng = random.Random(114)
+    big = 2**31 + 11
+    for expr in ("U", "U(2)+A1^2", "A2+U(3)", "D4+U"):
+        g = gram_of(expr).gram_rows()
+        for m in ([[big * x for x in row] for row in g],
+                  _congruent(rng, [[big * x + (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(g)])):
+            # the Hadamard bound needs at least two primes
+            assert 2 * _col_bound(m) >= _first_prime()
+            assert max(abs(x) for row in m for x in row) >= 2**31
+            assert inertia(m) == _frac_inertia(m), m
+
+
+def test_det_rescale_only_rows_match_cofactor_oracle():
+    # after the pivot 2 and then the pivot 3 (a 2-minor), the last row has
+    # a zero in each pivot column, so it is only rescaled: by 2/1, then 3/2
+    m = [[2, 1, 0], [1, 2, 0], [0, 0, 3]]
+    assert det_exact(m) == cofactor_det(m) == 9
+    assert det_exact([[3, 0, 0, 1], [0, 5, 0, 0], [0, 0, 7, 0], [1, 0, 0, 2]]) == 175
+    rng = random.Random(115)
+    for _ in range(TRIALS):
+        n = rng.randint(2, 6)
+        m = [[rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+        assert det_exact(m) == cofactor_det(m), m
+        assert kernel_basis(m) == _frac_kernel_basis(m), m
+
+
 def test_fiber_matrices_of_verify_all_match_fraction_reference(monkeypatch):
     from k3cert import cases, curves
     seen = set()

@@ -424,7 +424,7 @@ def test_infinite_order_requires_p_not_o():
     cfg, e, fiber = _six_cycle_with_sections("c2")
     plan = MWPlan("height-positive", "O", "P", {"O": "c0", "P": "c2"})
     with pytest.raises(EvidenceError, match="meets the fiber class 2 times"):
-        mw_evidence(plan, e.scale(2), fiber, cfg, (), 10)
+        mw_evidence(plan, DivisorClass(tuple(2 * c for c in e.coeffs)), fiber, cfg, (), 10)
 
 
 # ---------------------------------------------------------------------------

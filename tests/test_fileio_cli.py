@@ -168,6 +168,31 @@ def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, te
     assert capsys.readouterr() == ("", message)
 
 
+# the sample with O's incidence on zz, which is no curve, and on O, which
+# is a curve but no component of E (line 14)
+@pytest.mark.parametrize("component", ["zz", "O"])
+@pytest.mark.parametrize("argv", [["height", "{file}", "P"], ["mw", "rank", "{file}"],
+                                  ["fiber", "classify", "{file}", "E"]])
+def test_cli_refuses_an_incidence_off_the_fiber(tmp_path, capsys, argv, component):
+    path = tmp_path / "in.txt"
+    path.write_text(SAMPLE.replace("O=c0", f"O={component}"))
+    assert cli.run([str(path) if a == "{file}" else a for a in argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"parse error: line 14: rfiber E: O={component} names no component of E\n")
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("D3", "D_m needs m >= 4 (at byte 0)"),
+    ("U+", "expected lattice atom (at byte 2)"),
+    ("A1(0)", "twist factor must be nonzero (at byte 3)"),
+    ("U+E8^0", "power must be >= 1 (at byte 5)"),
+])
+def test_cli_lattice_parse_error_bytes(capsys, expr, message):
+    assert cli.run(["lattice", "info", expr]) == 2
+    assert cli.run(["lattice", "info", expr, "--json"]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n" * 2)
+
+
 def test_cli_fiber_class_is_a_reducible_fiber_without_its_rfiber(tmp_path, capsys):
     # the fiber class is made of (-2)-curves, so it is a reducible fiber
     # whether or not an rfiber line declares it
