@@ -4,7 +4,10 @@ recognition from weighted dual graphs.
 A fiber support is accepted when the kernel of its restricted
 intersection matrix is spanned by one positive vector (Zariski's lemma):
 that vector gives the component multiplicities, and the graph shape
-decides the Kodaira kind.  A disconnected support never passes, so
+decides the Kodaira kind.  A divisor's support is accepted from its own
+coefficients m, with no kernel computed, when m > 0, the support is
+connected and G.m = 0: by Perron-Frobenius such an m spans the kernel.
+On the kernel path a disconnected support never passes, so there
 connectivity, like inertia, is computed only to word a refusal.
 Two curves meeting twice cannot be told apart from a tangential meeting
 at the lattice level, so a 2-component fiber is reported as "I2/III".
@@ -13,6 +16,7 @@ at the lattice level, so a 2-component fiber is reported as "I2/III".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import K3CertError
 from .exactlinalg import inertia, kernel_basis
@@ -130,12 +134,14 @@ def _connected(sub):
     return len(seen) == len(sub)
 
 
-def classify_fiber(cfg, support):
+def classify_fiber(cfg, support, m=None):
     """Kodaira type of a connected configuration of (-2)-curves.
 
     Returns a KodairaFiber whose multiplicities span the kernel of the
-    restricted intersection matrix.  Raises FiberError when the support
-    is not the dual graph of a fiber.
+    restricted intersection matrix.  m, when given, is a stated
+    multiplicity vector in support order: it is checked, not solved for,
+    and any m that fails the check leaves the kernel to decide.  Raises
+    FiberError when the support is not the dual graph of a fiber.
     """
     support = list(support)
     if not support:
@@ -146,18 +152,29 @@ def classify_fiber(cfg, support):
     # The diagonal is -2 and the off-diagonal part is nonnegative.  On a
     # connected support it is irreducible, and by Perron-Frobenius the
     # signature is (0, r-1, 1) exactly when the kernel is one line spanned
-    # by a positive vector; kernel_basis makes that vector primitive and
-    # positive at its free column.  A disconnected support never passes:
-    # its kernel is the direct sum of its blocks' kernels, so it has
-    # dimension != 1 or its one vector is 0 on a block.
-    kern = kernel_basis(sub)
-    if len(kern) != 1 or any(x <= 0 for x in kern[0]):
-        if not _connected(sub):
-            raise FiberError("support is not connected")
-        raise FiberError(
-            f"intersection matrix has inertia {inertia(sub)}, "
-            f"not the fiber signature (0, {r-1}, 1)")
-    mults = dict(zip(support, kern[0]))
+    # by a positive vector.  A positive m with sub.m = 0 is that vector,
+    # so the kernel is Q.m and m/gcd(m) is what kernel_basis would return.
+    # All three tests are needed: two affine diagrams side by side have a
+    # positive m with sub.m = 0, and a mixed-sign m can span the kernel of
+    # an indefinite support.
+    if (m is not None and all(x > 0 for x in m)
+            and all(sum(a * x for a, x in zip(row, m)) == 0 for row in sub)
+            and _connected(sub)):
+        g = gcd(*m)
+        mults = {c: x // g for c, x in zip(support, m)}
+    else:
+        # kernel_basis makes its vector primitive and positive at its free
+        # column.  A disconnected support never passes: its kernel is the
+        # direct sum of its blocks' kernels, so it has dimension != 1 or
+        # its one vector is 0 on a block.
+        kern = kernel_basis(sub)
+        if len(kern) != 1 or any(x <= 0 for x in kern[0]):
+            if not _connected(sub):
+                raise FiberError("support is not connected")
+            raise FiberError(
+                f"intersection matrix has inertia {inertia(sub)}, "
+                f"not the fiber signature (0, {r-1}, 1)")
+        mults = dict(zip(support, kern[0]))
     # An accepted support is an affine ADE diagram: A~1 with its double
     # bond when r == 2, else a simply laced cycle (A~) or tree (D~, E~),
     # so the shape only has to name the Kodaira kind.
@@ -177,9 +194,10 @@ def classify_fiber(cfg, support):
 
 def classify_support(cfg, d):
     """The one classification of Supp d: (KodairaFiber, "") or, when
-    classify_fiber refuses the support, (None, its reason)."""
+    classify_fiber refuses the support, (None, its reason).  d's own
+    coefficients are the stated multiplicities."""
     try:
-        return classify_fiber(cfg, d.support(cfg)), ""
+        return classify_fiber(cfg, d.support(cfg), [c for c in d.coeffs if c]), ""
     except FiberError as exc:
         return None, str(exc)
 

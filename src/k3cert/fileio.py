@@ -10,7 +10,8 @@ comment.  Directives, in any order (curves: must precede uses):
     sections: NAME NAME ...
     rfiber LABEL: NAME=COMPONENT ...   # reducible fiber + section incidence
 
-The diagonal of the intersection matrix is implied -2.  The fibration's
+The diagonal of the intersection matrix is implied -2, and a curves:
+line lists at most MAX_CURVES names.  The fibration's
 fiber divisor must be a fiber class.  Its curves are (-2)-curves, so its
 fiber is always one of the reducible fibers, whether or not an `rfiber`
 line declares it.  An `rfiber` line needs a fibration: line and names a
@@ -31,6 +32,10 @@ from dataclasses import dataclass
 from .curves import DivisorClass, classify_fiber, fiber_class_verdict, make_config
 from .errors import K3CertError
 from .fibration import FiberInModel, FibrationModel
+
+
+# The intersection matrix is dense, so n curves cost n^2 entries.
+MAX_CURVES = 256
 
 
 class FileFormatError(K3CertError):
@@ -76,6 +81,9 @@ def parse_config_text(text):
             names = line[len("curves:"):].split()
             if not names:
                 raise FileFormatError("curves: line lists no curves", line_no)
+            if len(names) > MAX_CURVES:
+                raise FileFormatError(
+                    f"curves: line lists {len(names)} curves, more than {MAX_CURVES}", line_no)
         elif line.startswith("meets:"):
             parts = line[len("meets:"):].split()
             if len(parts) != 3:

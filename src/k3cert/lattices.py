@@ -12,7 +12,8 @@ A/D/E atoms are NEGATIVE definite root lattices: -2 on the diagonal and
 +1 on Dynkin-adjacent pairs.  Node order is the chain first, then the
 branch node(s): for D_m the chain e1..e_{m-1} with the fork node e_m
 attached to e_{m-2}; for E_n the chain e1..e_{n-1} with e_n attached
-to e3.
+to e3.  An expression of total rank above MAX_RANK is refused before any
+Gram matrix is built.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .exactlinalg import (
 )
 
 
+# The Gram is dense, so a rank-n expression costs n^2 entries and an
+# O(n^3) determinant; rank 64 with small entries takes well under a second.
+MAX_RANK = 64
+
+
 class LatticeParseError(K3CertError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte {offset})")
@@ -40,6 +46,7 @@ def parse_lattice_expr(text):
     block-diagonally.  Raises LatticeParseError with the byte offset."""
     pos = 0
     n = len(text)
+    rank = 0    # of the terms parsed so far
 
     def skip_ws():
         nonlocal pos
@@ -55,11 +62,18 @@ def parse_lattice_expr(text):
             pos += 1
         if pos == start or (pos == start + 1 and text[start] == '-'):
             raise LatticeParseError("expected integer", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # more digits than int() converts
+            raise LatticeParseError("integer is too long", start) from None
+
+    def check_rank(size, start):
+        if rank + size > MAX_RANK:
+            raise LatticeParseError(f"lattice rank exceeds {MAX_RANK}", start)
 
     def parse_term():
         """The blocks of one term."""
-        nonlocal pos
+        nonlocal pos, rank
         skip_ws()
         if pos >= n:
             raise LatticeParseError("expected lattice atom", pos)
@@ -67,7 +81,7 @@ def parse_lattice_expr(text):
         start = pos
         if ch == 'U':
             pos += 1
-            g = _root_gram('U', 0)
+            idx, size = 0, 2
         elif ch in ('A', 'D', 'E'):
             pos += 1
             idx = parse_int()
@@ -77,9 +91,11 @@ def parse_lattice_expr(text):
                 raise LatticeParseError("D_m needs m >= 4", start)
             if ch == 'E' and idx not in (6, 7, 8):
                 raise LatticeParseError("E_n needs n in {6,7,8}", start)
-            g = _root_gram(ch, idx)
+            size = idx
         else:
             raise LatticeParseError(f"unknown atom {ch!r}", pos)
+        check_rank(size, start)
+        g = _root_gram(ch, idx)
         skip_ws()
         if pos < n and text[pos] == '(':
             pos += 1
@@ -93,14 +109,16 @@ def parse_lattice_expr(text):
             pos += 1
             g = [[k * x for x in row] for row in g]
         skip_ws()
+        k = 1
         if pos < n and text[pos] == '^':
             pos += 1
             pstart = pos
             k = parse_int()
             if k < 1:
                 raise LatticeParseError("power must be >= 1", pstart)
-            return [g] * k
-        return [g]
+            check_rank(size * k, start)
+        rank += size * k
+        return [g] * k
 
     skip_ws()
     blocks = parse_term()

@@ -187,9 +187,11 @@ def test_evidence_is_sought_per_candidate_on_certified_fiber_classes():
 
 
 def test_verify_all_classifies_each_candidate_once(monkeypatch):
-    # 52 phi fibers plus one classification per E_i on the 16 rows; each
-    # classification is one kernel, plus one per height on the three
-    # singular-k3 rows, and no classification needs inertia
+    # 52 phi fibers plus one classification per E_i on the 16 rows.  A phi
+    # fiber states no multiplicities, so it is one kernel; each of the 32
+    # E_i is accepted from its own coefficients, with no kernel.  One
+    # kernel per height on the three singular-k3 rows, and no
+    # classification needs inertia
     from k3cert import cli, curves, exactlinalg, fibration, fileio, lattices, spectral
     import k3cert.cases as cases_mod
     calls = {"classify_fiber": [], "kernel_basis": [], "inertia": []}
@@ -205,7 +207,7 @@ def test_verify_all_classifies_each_candidate_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     reports = verify_all()
     assert len(calls["classify_fiber"]) == 52 + 2 * len(reports) == 84
-    assert len(calls["kernel_basis"]) == 84 + 2 * 3 == 90
+    assert len(calls["kernel_basis"]) == 52 + 2 * 3 == 58
     assert calls["inertia"] == []
 
 

@@ -15,7 +15,7 @@ from k3cert.curves import (
     pairing,
     theta_constraints,
 )
-from k3cert.exactlinalg import det_exact
+from k3cert.exactlinalg import det_exact, kernel_basis
 from k3cert.lattices import discriminant_group, gram_of
 
 
@@ -256,3 +256,93 @@ def test_disconnected_supports_are_refused_as_not_connected():
             with pytest.raises(FiberError) as exc:
                 classify_fiber(cfg, support)
             assert str(exc.value) == "support is not connected", (blocks, support)
+
+
+# ---------------------------------------------------------------------------
+# Fibers accepted from stated multiplicities
+
+def _no_kernel(monkeypatch):
+    """Make any kernel or inertia computation in curves fail the test."""
+    import k3cert.curves as curves
+
+    def forbidden(*args):
+        raise AssertionError("stated multiplicities need no kernel or inertia")
+    monkeypatch.setattr(curves, "kernel_basis", forbidden)
+    monkeypatch.setattr(curves, "inertia", forbidden)
+
+
+def _submatrix(cfg, support):
+    idx = [cfg.index(c) for c in support]
+    return [[cfg.inter[i][j] for j in idx] for i in idx]
+
+
+@pytest.mark.parametrize("kind", ["I2", "I6", "I0*", "I3*", "IV*", "III*", "II*"])
+def test_stated_multiplicities_are_accepted_without_a_kernel(kind, monkeypatch):
+    cfg = make_config(["a", "b"], [("a", "b", 2)]) if kind == "I2" else _affine_diagram(kind)
+    names = list(cfg.curve_names)
+    expected = classify_fiber(cfg, names)
+    _no_kernel(monkeypatch)
+    for scale in (1, 3):
+        fiber = classify_fiber(cfg, names, [scale * expected.multiplicities[c] for c in names])
+        assert fiber.kind == expected.kind == (kind if kind != "I2" else "I2/III")
+        assert fiber.multiplicities == expected.multiplicities
+
+
+def test_twice_a_fiber_is_a_fiber_support_but_not_a_fiber_class(monkeypatch):
+    cfg = _affine_diagram("I0*")
+    names = list(cfg.curve_names)
+    twice = DivisorClass(tuple(2 * classify_fiber(cfg, names).multiplicities[c] for c in names))
+    _no_kernel(monkeypatch)
+    fiber = classify_fiber(cfg, names, list(twice.coeffs))
+    assert fiber.kind == "I0*" and fiber.multiplicities == {
+        "m0": 2, "p1": 1, "p2": 1, "q1": 1, "q2": 1}
+    assert is_fiber_class(twice, cfg) == (False, fiber, (
+        "coefficient of m0 is 4, fiber multiplicity is 2 (non-primitive or wrong class)"))
+
+
+def test_stated_multiplicities_on_disjoint_fibers_are_refused_as_not_connected():
+    # two affine diagrams side by side: each block's null vector makes a
+    # positive m with sub.m = 0, yet the support is no fiber
+    rng = random.Random(20261021)
+    for _ in range(20):
+        cfg, support = _disjoint_blocks(rng, [rng.choice(_FIBER_SHAPES),
+                                              rng.choice(_FIBER_SHAPES)])
+        sub = _submatrix(cfg, support)
+        m = [sum(col) for col in zip(*kernel_basis(sub))]
+        assert all(x > 0 for x in m)
+        assert all(sum(a * x for a, x in zip(row, m)) == 0 for row in sub)
+        with pytest.raises(FiberError) as exc:
+            classify_fiber(cfg, support, m)
+        assert str(exc.value) == "support is not connected", (support, m)
+
+
+def test_a_mixed_sign_kernel_vector_is_refused_by_inertia():
+    # two double bonds joined through one curve: connected and indefinite,
+    # and its kernel is spanned by a vector with a zero and negative entries
+    names = ["x", "a1", "a2", "b1", "b2"]
+    cfg = make_config(names, [("x", "a1", 1), ("a1", "a2", 2), ("x", "b1", 1), ("b1", "b2", 2)])
+    assert kernel_basis(_submatrix(cfg, names)) == [[0, -1, -1, 1, 1]]
+    for m in ([0, -1, -1, 1, 1], [0, 1, 1, -1, -1]):
+        with pytest.raises(FiberError) as exc:
+            classify_fiber(cfg, names, m)
+        assert str(exc.value) == ("intersection matrix has inertia (1, 3, 1), "
+                                  "not the fiber signature (0, 4, 1)")
+
+
+def test_stated_multiplicities_off_the_kernel_give_the_kernel_verdict():
+    # sub.m != 0: the kernel decides, with the same fiber or refusal
+    chain = chain_config(["a", "b", "c"])
+    with pytest.raises(FiberError) as exc:
+        classify_fiber(chain, ["a", "b", "c"], [1, 1, 1])
+    assert str(exc.value) == ("intersection matrix has inertia (0, 3, 0), "
+                              "not the fiber signature (0, 2, 1)")
+    cfg = _affine_diagram("I0*")
+    names = list(cfg.curve_names)
+    fiber = classify_fiber(cfg, names, [1, 1, 1, 1, 1])
+    assert fiber.kind == "I0*" and fiber.multiplicities == {
+        "m0": 2, "p1": 1, "p2": 1, "q1": 1, "q2": 1}
+    hyperbolic = make_config(["a", "b"], [("a", "b", 3)])
+    with pytest.raises(FiberError) as exc:
+        classify_fiber(hyperbolic, ["a", "b"], [1, 1])
+    assert str(exc.value) == ("intersection matrix has inertia (1, 1, 0), "
+                              "not the fiber signature (0, 1, 1)")

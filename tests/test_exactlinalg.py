@@ -619,14 +619,18 @@ def test_det_rescale_only_rows_match_cofactor_oracle():
 
 
 def test_fiber_matrices_of_verify_all_match_fraction_reference(monkeypatch):
+    # the submatrix of every support verify_all() classifies, whether it is
+    # accepted from stated multiplicities or by its kernel
     from k3cert import cases, curves
     seen = set()
-    real = curves.kernel_basis
+    real = curves.classify_fiber
 
-    def record(m):
-        seen.add(tuple(map(tuple, m)))
-        return real(m)
-    monkeypatch.setattr(curves, "kernel_basis", record)
+    def record(cfg, support, *rest):
+        idx = [cfg.index(c) for c in support]
+        seen.add(tuple(tuple(cfg.inter[i][j] for j in idx) for i in idx))
+        return real(cfg, support, *rest)
+    monkeypatch.setattr(curves, "classify_fiber", record)
+    monkeypatch.setattr(cases, "classify_fiber", record)
     cases.verify_all()
     assert len(seen) > 20
     for key in seen:
@@ -670,6 +674,14 @@ def _connected_curve_matrices(draw):
     return m
 
 
+def _curve_config(m):
+    from k3cert.curves import make_config
+    r = len(m)
+    names = [f"c{i}" for i in range(r)]
+    return make_config(names, [(names[i], names[j], m[i][j]) for i in range(r)
+                               for j in range(i + 1, r) if m[i][j]]), names
+
+
 @settings(max_examples=200, deadline=None)
 @given(_connected_curve_matrices())
 # two double bonds, or two triangles, joined through one curve: the
@@ -681,11 +693,9 @@ def _connected_curve_matrices(draw):
           [0, 1, 1, -2, 0, 0, 0], [1, 1, 0, 0, -2, 0, 0], [1, 0, 0, 0, 0, -2, 1],
           [1, 0, 0, 0, 0, 1, -2]])
 def test_classify_fiber_accepts_exactly_the_fiber_signature(m):
-    from k3cert.curves import FiberError, classify_fiber, make_config
+    from k3cert.curves import FiberError, classify_fiber
     r = len(m)
-    names = [f"c{i}" for i in range(r)]
-    cfg = make_config(names, [(names[i], names[j], m[i][j])
-                              for i in range(r) for j in range(i + 1, r) if m[i][j]])
+    cfg, names = _curve_config(m)
     signature = _frac_inertia(m)
     try:
         fiber = classify_fiber(cfg, names)
@@ -699,6 +709,30 @@ def test_classify_fiber_accepts_exactly_the_fiber_signature(m):
         mult = [fiber.multiplicities[c] for c in names]
         assert all(x > 0 for x in mult)
         assert all(sum(a * x for a, x in zip(row, mult)) == 0 for row in m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_connected_curve_matrices(), st.data())
+def test_stated_multiplicities_agree_with_the_kernel_path(m, data):
+    # m is a multiple of the kernel vector, when there is one, or any small
+    # vector; either way the verdict is the one the kernel path gives
+    from k3cert.curves import FiberError, classify_fiber
+    cfg, names = _curve_config(m)
+    r = len(m)
+    stated = st.lists(st.integers(-1, 4), min_size=r, max_size=r)
+    kern = kernel_basis(m)
+    if len(kern) == 1:
+        stated = st.one_of(stated, st.sampled_from((1, 2, 3, -1)).map(
+            lambda k: [k * x for x in kern[0]]))
+    stated = data.draw(stated)
+
+    def verdict(*args):
+        try:
+            fiber = classify_fiber(cfg, names, *args)
+        except FiberError as exc:
+            return str(exc)
+        return fiber.kind, fiber.multiplicities
+    assert verdict(stated) == verdict()
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ sections: O P
 CHAIN_FIBER_ERROR = ("parse error: line 6: fiber divisor 'E' is not a fiber class "
                      "(self-intersection -2 != 0)\n")
 NON_SECTION_INCIDENCE = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c2 c4=c1")
+TOO_MANY_CURVES = SAMPLE.replace("c4 c5\n", "c4 c5 " + " ".join(f"x{i}" for i in range(249)) + "\n", 1)
 
 
 @pytest.mark.parametrize("bad,line", [
@@ -160,6 +161,8 @@ def test_cli_height_needs_no_declared_incidence(tmp_path, capsys):
     (["fiber", "classify", "{file}", "E"], CHAIN_FIBER, CHAIN_FIBER_ERROR),
     (["height", "{file}", "P"], NON_SECTION_INCIDENCE,
      "parse error: line 14: rfiber E: c4 is not a declared section\n"),
+    (["fiber", "classify", "{file}", "E"], TOO_MANY_CURVES,
+     "parse error: line 2: curves: line lists 257 curves, more than 256\n"),
 ])
 def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
@@ -186,6 +189,15 @@ def test_cli_refuses_an_incidence_off_the_fiber(tmp_path, capsys, argv, componen
     ("U+", "expected lattice atom (at byte 2)"),
     ("A1(0)", "twist factor must be nonzero (at byte 3)"),
     ("U+E8^0", "power must be >= 1 (at byte 5)"),
+    # more digits than int() converts, at each integer of the grammar
+    pytest.param("A" + "9" * 5000, "integer is too long (at byte 1)", id="long-index"),
+    pytest.param("U(" + "9" * 5000 + ")", "integer is too long (at byte 2)", id="long-twist"),
+    pytest.param("A1^" + "9" * 5000, "integer is too long (at byte 3)", id="long-power"),
+    # refused at the term that crosses the rank bound, before any Gram is built
+    ("A65", "lattice rank exceeds 64 (at byte 0)"),
+    ("D100000", "lattice rank exceeds 64 (at byte 0)"),
+    ("A1^100000", "lattice rank exceeds 64 (at byte 0)"),
+    ("U+E8^7+D8", "lattice rank exceeds 64 (at byte 7)"),
 ])
 def test_cli_lattice_parse_error_bytes(capsys, expr, message):
     assert cli.run(["lattice", "info", expr]) == 2
