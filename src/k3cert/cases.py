@@ -11,6 +11,7 @@ exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .curves import (
     DivisorClass,
@@ -46,40 +47,48 @@ class CaseInstance:
     rho: int
     triple: tuple                  # (rho, a, delta) or None when NS has an opaque summand
     ns_expr: str                   # lattice expression text, or None
-    k: int
     cfg: object                    # CurveConfig
-    fixed_curves: tuple
+    fixed_curves: tuple            # the whole fixed locus of the involution
     phi_fibers: tuple              # (label, expected_kind, support tuple)
-    phi_rank_expected: object      # int or None: Shioda-Tate rank of phi when asserted
     e_kind: str                    # expected Kodaira kind of E1 and E2
     dec1: Decomposition            # E1 = D1 + a1*R1 + b1*C, with E1 as dec1.e
     dec2: Decomposition
-    mw_plan: MWPlan
     encoding_flags: tuple
+    phi_rank_expected: int | None = None   # Shioda-Tate rank of phi when asserted
+    mw_plan: MWPlan = MWPlan("lemma54")
     witness: str | None = None     # note of the fixed-pivot argument when R1 != R2
+
+    @property
+    def k(self):
+        """The fixed curves are the whole fixed locus, so k, the number of
+        its components, is their count."""
+        return len(self.fixed_curves)
 
 
 @dataclass(frozen=True)
 class CaseRecord:
     case_id: str
     param_values: tuple            # (None,) when concrete
-    builder: object = field(compare=False)
+    builder: object = field(compare=False)   # (row, param) -> CaseInstance
+
+    def matching(self, param=None):
+        """The parameter values named by param, compared as text, so 1 and
+        "1" name the same row; every value when param is None."""
+        return [v for v in self.param_values if param is None or str(v) == str(param)]
 
     def instantiate(self, param=None):
-        if param is None and self.param_values != (None,):
-            param = self.param_values[0]
-        if param not in self.param_values:
+        """The row at param, the first value when param is None.  The
+        builder gets the parameter and row, the CaseInstance constructor
+        with this record's id and that parameter filled in."""
+        named = self.matching(param)
+        if not named:
             raise K3CertError(
                 f"{self.case_id}: parameter {param!r} not in {self.param_values}")
-        return self.builder(param)
-
-
-def _div(cfg, d):
-    return DivisorClass.from_dict(cfg, d)
+        return self.builder(partial(CaseInstance, self.case_id, named[0]), named[0])
 
 
 def _cycle_div(cfg, names):
-    return _div(cfg, {n: 1 for n in names})
+    return DivisorClass.from_dict(cfg, {n: 1 for n in names})
 
 
 def _chain_meets(names):
@@ -90,20 +99,17 @@ def _chain_meets(names):
 # case builders
 
 
-def _build_rho11(t):
+def _build_rho11(row, t):
     """Parametric template: fixed curve C, a curve H with C.H = 2 and its
     image gH under an automorphism fixing C pointwise; t = H.gH."""
     cfg = make_config(
         ["C", "H", "gH"],
         [("C", "H", 2), ("C", "gH", 2)] + ([("H", "gH", t)] if t else []))
-    dec1 = Decomposition(_div(cfg, {"H": 1, "C": 1}), 1, "H", 1, "C")
-    dec2 = Decomposition(_div(cfg, {"gH": 1, "C": 1}), 1, "gH", 1, "C")
-    return CaseInstance(
-        case_id="rho11", param=t, rho=11, triple=(11, 11, 1),
-        ns_expr="U(2)+A1^9", k=1, cfg=cfg, fixed_curves=("C",),
-        phi_fibers=(), phi_rank_expected=None,
-        e_kind="I2/III", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
+    dec1 = Decomposition(DivisorClass.from_dict(cfg, {"H": 1, "C": 1}), 1, "H", 1, "C")
+    dec2 = Decomposition(DivisorClass.from_dict(cfg, {"gH": 1, "C": 1}), 1, "gH", 1, "C")
+    return row(
+        rho=11, triple=(11, 11, 1), ns_expr="U(2)+A1^9", cfg=cfg, fixed_curves=("C",),
+        phi_fibers=(), e_kind="I2/III", dec1=dec1, dec2=dec2,
         witness=("C is pointwise fixed and gH is the image of H, so any point "
                  "of C.H lies on gH"),
         encoding_flags=(
@@ -113,7 +119,7 @@ def _build_rho11(t):
         ))
 
 
-def _build_rho12(_):
+def _build_rho12(row, _):
     names = ["C1", "C2"] + [f"H{i}" for i in range(1, 11)] \
         + [f"H{i}'" for i in range(1, 11)]
     meets = []
@@ -125,14 +131,11 @@ def _build_rho12(_):
     e2 = _cycle_div(cfg, ["C1", "H1", "C2", "H3"])
     dec1 = Decomposition(e1, 1, "H1", 1, "C1")
     dec2 = Decomposition(e2, 1, "H1", 1, "C1")
-    return CaseInstance(
-        case_id="rho12", param=None, rho=12, triple=(12, 10, 1),
-        ns_expr="U+A1^10", k=2, cfg=cfg, fixed_curves=("C1", "C2"),
+    return row(
+        rho=12, triple=(12, 10, 1), ns_expr="U+A1^10", cfg=cfg, fixed_curves=("C1", "C2"),
         phi_fibers=tuple((f"F{i}", "I2", (f"H{i}", f"H{i}'"))
                          for i in range(1, 11)),
-        phi_rank_expected=None,
         e_kind="I4", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "C1.H_i = 1 and C2.H_i = 1 by the normalization of the fixed "
             "curves against the bisected fibers H_i + H_i'",
@@ -141,7 +144,7 @@ def _build_rho12(_):
         ))
 
 
-def _build_rho13(_):
+def _build_rho13(row, _):
     names = ["C1", "C2", "C3"] + [f"F{j}" for j in range(1, 5)] \
         + [f"H{i}" for i in range(1, 8)] + [f"H{i}'" for i in range(1, 8)]
     meets = [("C2", f"F{j}", 1) for j in range(1, 5)]
@@ -154,14 +157,12 @@ def _build_rho13(_):
     e2 = _cycle_div(cfg, ["C2", "F1", "C1", "H2", "C3", "F2"])
     dec1 = Decomposition(e1, 1, "F1", 1, "C1")
     dec2 = Decomposition(e2, 1, "F1", 1, "C1")
-    return CaseInstance(
-        case_id="rho13", param=None, rho=13, triple=(13, 9, 1),
-        ns_expr="U+D4+A1^7", k=3, cfg=cfg, fixed_curves=("C1", "C2", "C3"),
+    return row(
+        rho=13, triple=(13, 9, 1), ns_expr="U+D4+A1^7", cfg=cfg,
+        fixed_curves=("C1", "C2", "C3"),
         phi_fibers=(("F0", "I0*", ("C2", "F1", "F2", "F3", "F4")),)
         + tuple((f"G{i}", "I2", (f"H{i}", f"H{i}'")) for i in range(1, 8)),
-        phi_rank_expected=None,
         e_kind="I6", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "the I0* fiber is 2C2 + F1 + F2 + F3 + F4 with C2 central",
             "F1 meets C1, F2..F4 meet C3: each leaf meets the fixed locus "
@@ -169,7 +170,7 @@ def _build_rho13(_):
         ))
 
 
-def _build_rho14(_):
+def _build_rho14(row, _):
     names = ["C1", "C2", "C3", "C4",
              "F12", "F24", "F24'", "F24''",
              "F13", "F34", "F34'", "F34''",
@@ -187,17 +188,14 @@ def _build_rho14(_):
     e2 = _cycle_div(cfg, ["C2", "F12", "C1", "F14'", "C4", "F24"])
     dec1 = Decomposition(e1, 1, "F12", 1, "C1")
     dec2 = Decomposition(e2, 1, "F12", 1, "C1")
-    return CaseInstance(
-        case_id="rho14", param=None, rho=14, triple=(14, 8, 1),
-        ns_expr="U+D4^2+A1^4", k=4, cfg=cfg,
+    return row(
+        rho=14, triple=(14, 8, 1), ns_expr="U+D4^2+A1^4", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4"),
         phi_fibers=(("F0", "I0*", ("C2", "F12", "F24", "F24'", "F24''")),
                     ("F0'", "I0*", ("C3", "F13", "F34", "F34'", "F34''")))
         + tuple((f"G{s or '0'}", "I2", (f"F14{s}", f"F44{s}"))
                 for s in ("", "'", "''", "'''")),
-        phi_rank_expected=None,
         e_kind="I6", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "F44-type curves meet C4 at two distinct points (intersection "
             "number 2)",
@@ -206,7 +204,7 @@ def _build_rho14(_):
         ))
 
 
-def _build_rho15(_):
+def _build_rho15(row, _):
     names = ["C1", "C2", "C3", "C4", "C5"]
     for i, s3 in (("2", "F25"), ("3", "F35"), ("4", "F45")):
         names += [f"F1{i}", s3, s3 + "'", s3 + "''"]
@@ -223,17 +221,14 @@ def _build_rho15(_):
     e2 = _cycle_div(cfg, ["C4", "F45", "C5", "F25'", "C2", "F12", "C1", "F14"])
     dec1 = Decomposition(e1, 1, "F12", 1, "C1")
     dec2 = Decomposition(e2, 1, "F12", 1, "C1")
-    return CaseInstance(
-        case_id="rho15", param=None, rho=15, triple=(15, 7, 1),
-        ns_expr="U+D4^3+A1", k=5, cfg=cfg,
+    return row(
+        rho=15, triple=(15, 7, 1), ns_expr="U+D4^3+A1", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5"),
         phi_fibers=(("F0", "I0*", ("C2", "F12", "F25", "F25'", "F25''")),
                     ("F0'", "I0*", ("C3", "F13", "F35", "F35'", "F35''")),
                     ("F0''", "I0*", ("C4", "F14", "F45", "F45'", "F45''")),
                     ("G0", "I2", ("F15", "F55"))),
-        phi_rank_expected=None,
         e_kind="I8", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "three I0* fibers centered at C2, C3, C4; C3 stays off "
             "Supp E_i and is orthogonal to both",
@@ -242,7 +237,7 @@ def _build_rho15(_):
         ))
 
 
-def _build_rho16(_):
+def _build_rho16(row, _):
     names = ["C1", "C2", "C3", "C4", "C5", "C6", "G23", "G45",
              "F13", "F36", "F26", "F26'", "F15", "F56", "F46", "F46'",
              "F16", "F66", "F16'", "F66'"]
@@ -266,24 +261,21 @@ def _build_rho16(_):
                           "C4", "F46", "C6", "F26'", "C2", "G23"])
     dec1 = Decomposition(e1, 1, "F13", 1, "C1")
     dec2 = Decomposition(e2, 1, "F13", 1, "C1")
-    return CaseInstance(
-        case_id="rho16", param=None, rho=16, triple=(16, 6, 1),
-        ns_expr="U+D6^2+A1^2", k=6, cfg=cfg,
+    return row(
+        rho=16, triple=(16, 6, 1), ns_expr="U+D6^2+A1^2", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5", "C6"),
         phi_fibers=(("FA", "I2*", ("C2", "G23", "C3", "F13", "F36", "F26", "F26'")),
                     ("FB", "I2*", ("C4", "G45", "C5", "F15", "F56", "F46", "F46'")),
                     ("GA", "I2", ("F16", "F66")),
                     ("GB", "I2", ("F16'", "F66'"))),
-        phi_rank_expected=None,
         e_kind="I12", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "the I2* fibers have double chains C2-G23-C3 and C4-G45-C5 with "
             "multiplicity-1 leaves F13, F36 / F26, F26' and F15, F56 / F46, F46'",
         ))
 
 
-def _build_rho17(_):
+def _build_rho17(row, _):
     names = ["C1", "C2", "C3", "C4", "C5", "C6", "C7",
              "G23", "G45", "G56",
              "F27", "F27'", "F37", "F31",
@@ -308,24 +300,21 @@ def _build_rho17(_):
                           "F31", "C3", "G23", "C2", "F27", "C7", "F47'"])
     dec1 = Decomposition(e1, 1, "F31", 1, "C1")
     dec2 = Decomposition(e2, 1, "F31", 1, "C1")
-    return CaseInstance(
-        case_id="rho17", param=None, rho=17, triple=(17, 5, 1),
-        ns_expr="U+D6+D8+A1", k=7, cfg=cfg,
+    return row(
+        rho=17, triple=(17, 5, 1), ns_expr="U+D6+D8+A1", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5", "C6", "C7"),
         phi_fibers=(("FA", "I2*", ("F27", "F27'", "C2", "G23", "C3", "F37", "F31")),
                     ("FB", "I4*", ("F47", "F47'", "C4", "G45", "C5", "G56",
                                    "C6", "F61", "F67")),
                     ("GA", "I2", ("F17", "F77"))),
-        phi_rank_expected=None,
         e_kind="I14", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "the I4* fiber's chain is C4-G45-C5-G56-C6 with leaves F47, "
             "F47' at C4 and F61, F67 at C6",
         ))
 
 
-def _build_rho18_delta0(_):
+def _build_rho18_delta0(row, _):
     names = [f"C{i}" for i in range(1, 9)]
     names += ["F28", "F28'", "F28''", "F12", "F38", "F38'",
               "G34", "G45", "G56", "G67", "F17", "F78"]
@@ -348,23 +337,20 @@ def _build_rho18_delta0(_):
     e2 = _cycle_div(cfg, cyc[:-1] + ["F38'"])
     dec1 = Decomposition(e1, 1, "F12", 1, "C1")
     dec2 = Decomposition(e2, 1, "F12", 1, "C1")
-    return CaseInstance(
-        case_id="rho18-delta0", param=None, rho=18, triple=(18, 4, 0),
-        ns_expr="U+D4+D12", k=8, cfg=cfg,
+    return row(
+        rho=18, triple=(18, 4, 0), ns_expr="U+D4+D12", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 9)),
         phi_fibers=(("F0", "I0*", ("C2", "F28", "F28'", "F28''", "F12")),
                     ("FB", "I8*", ("F38", "F38'", "C3", "G34", "C4", "G45",
                                    "C5", "G56", "C6", "G67", "C7", "F17", "F78"))),
-        phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "the delta = 0 case: fibers I0* + I8* (discriminant forms of "
             "D4 and D12 are integer valued)",
         ))
 
 
-def _build_rho18_delta1(_):
+def _build_rho18_delta1(row, _):
     names = [f"C{i}" for i in range(1, 9)]
     names += ["F28", "F28'", "G23", "G34", "G45", "G56", "G67",
               "F78", "F17", "F18", "F88", "F18'", "F88'"]
@@ -387,25 +373,22 @@ def _build_rho18_delta1(_):
     e2 = _cycle_div(cfg, cyc[:-1] + ["F28'"])
     dec1 = Decomposition(e1, 1, "F17", 1, "C1")
     dec2 = Decomposition(e2, 1, "F17", 1, "C1")
-    return CaseInstance(
-        case_id="rho18-delta1", param=None, rho=18, triple=(18, 4, 1),
-        ns_expr="U+D14+A1^2", k=8, cfg=cfg,
+    return row(
+        rho=18, triple=(18, 4, 1), ns_expr="U+D14+A1^2", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 9)),
         phi_fibers=(("FA", "I10*", ("F28", "F28'", "C2", "G23", "C3", "G34",
                                     "C4", "G45", "C5", "G56", "C6", "G67",
                                     "C7", "F78", "F17")),
                     ("GA", "I2", ("F18", "F88")),
                     ("GB", "I2", ("F18'", "F88'"))),
-        phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "the delta = 1 companion of rank 18: one I10* fiber plus two "
             "I2 fibers from the A1 summands",
         ))
 
 
-def _build_rho19(_):
+def _build_rho19(row, _):
     names = [f"C{i}" for i in range(1, 10)]
     names += ["F29", "F29'", "G23", "G34", "G45", "G56", "G67", "G78",
               "F89", "F18", "F19", "F99"]
@@ -425,24 +408,21 @@ def _build_rho19(_):
     e2 = _cycle_div(cfg, cyc[:-1] + ["F29'"])
     dec1 = Decomposition(e1, 1, "F89", 1, "C9")
     dec2 = Decomposition(e2, 1, "F89", 1, "C9")
-    return CaseInstance(
-        case_id="rho19", param=None, rho=19, triple=(19, 3, 1),
-        ns_expr="U+D16+A1", k=9, cfg=cfg,
+    return row(
+        rho=19, triple=(19, 3, 1), ns_expr="U+D16+A1", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 10)),
         phi_fibers=(("FA", "I12*", ("F29", "F29'", "C2", "G23", "C3", "G34",
                                     "C4", "G45", "C5", "G56", "C6", "G67",
                                     "C7", "G78", "C8", "F89", "F18")),
                     ("GA", "I2", ("F19", "F99"))),
-        phi_rank_expected=None,
         e_kind="I16", dec1=dec1, dec2=dec2,
-        mw_plan=MWPlan("lemma54"),
         encoding_flags=(
             "C1 stays off Supp E_i with C1.E_i = 0; Mordell-Weil "
             "positivity is the k-1 case",
         ))
 
 
-def _build_rho20(_):
+def _build_rho20(row, _):
     names = ["C0"] + [f"C{i}" for i in range(1, 10)]
     names += ["G23", "G34", "G45", "F30", "F15",
               "F16", "F60", "G67", "G78", "G89", "F90", "F90'"]
@@ -459,21 +439,18 @@ def _build_rho20(_):
              ("C9", "F90", 1), ("C0", "F90", 1),
              ("C9", "F90'", 1), ("C0", "F90'", 1)]
     cfg = make_config(names, meets)
-    e1 = _div(cfg, {"C0": 3, "F30": 2, "C3": 1, "F60": 2, "C6": 1,
-                    "F90": 2, "C9": 1})
-    e2 = _div(cfg, {"C0": 3, "F30": 2, "C3": 1, "F60": 2, "C6": 1,
-                    "F90'": 2, "C9": 1})
+    arms = {"C0": 3, "F30": 2, "C3": 1, "F60": 2, "C6": 1, "C9": 1}
+    e1 = DivisorClass.from_dict(cfg, {**arms, "F90": 2})
+    e2 = DivisorClass.from_dict(cfg, {**arms, "F90'": 2})
     dec1 = Decomposition(e1, 2, "F30", 3, "C0")
     dec2 = Decomposition(e2, 2, "F30", 3, "C0")
-    return CaseInstance(
-        case_id="rho20", param=None, rho=20, triple=(20, 2, 1),
-        ns_expr="U+E8+D10", k=10, cfg=cfg,
+    return row(
+        rho=20, triple=(20, 2, 1), ns_expr="U+E8+D10", cfg=cfg,
         fixed_curves=("C0",) + tuple(f"C{i}" for i in range(1, 10)),
         phi_fibers=(("FA", "II*", ("C2", "G23", "C3", "F30", "G34", "C4",
                                    "G45", "C5", "F15")),
                     ("FB", "I6*", ("F16", "F60", "C6", "G67", "C7", "G78",
                                    "C8", "G89", "C9", "F90", "F90'"))),
-        phi_rank_expected=None,
         e_kind="IV*", dec1=dec1, dec2=dec2,
         mw_plan=MWPlan("additive-same-component", "G23", "G34",
                        {"G23": "C3", "G34": "C3"}),
@@ -486,7 +463,7 @@ def _build_rho20(_):
         ))
 
 
-def _build_singular_k3(variant):
+def _build_singular_k3(row, variant):
     """Two II* fibers joined through a section; the surgered classes E1,
     E2 are I12* fibers of two new fibrations.  variant in {none, I2, III}
     selects the extra reducible fiber of the base fibration."""
@@ -506,13 +483,12 @@ def _build_singular_k3(variant):
     chain = {n: 2 for n in ("a1", "a2", "a3", "a4", "a5", "a6",
                             "b1", "b2", "b3", "b4", "b5", "b6")}
     leaves = {"a7": 1, "a9": 1, "b7": 1, "b9": 1}
-    e1 = _div(cfg, {**chain, **leaves, "D1": 2})
-    e2 = _div(cfg, {**chain, **leaves, "D2": 2})
+    e1 = DivisorClass.from_dict(cfg, {**chain, **leaves, "D1": 2})
+    e2 = DivisorClass.from_dict(cfg, {**chain, **leaves, "D2": 2})
     dec1 = Decomposition(e1, 2, "a2", 2, "a1")
     dec2 = Decomposition(e2, 2, "a2", 2, "a1")
-    return CaseInstance(
-        case_id="singular-k3", param=variant, rho=20, triple=None,
-        ns_expr=None, k=0, cfg=cfg, fixed_curves=(),
+    return row(
+        rho=20, triple=None, ns_expr=None, cfg=cfg, fixed_curves=(),
         phi_fibers=tuple(phi_fibers),
         phi_rank_expected=2 if variant == "none" else 1,
         e_kind="I12*", dec1=dec1, dec2=dec2,
@@ -598,7 +574,8 @@ def verify_case(inst):
     checks = []
     cfg = inst.cfg
 
-    # 1. lattice invariants
+    # 1. lattice invariants, and their fixed-locus count k against the
+    # declared fixed curves
     if inst.ns_expr is None:
         checks.append(Check(
             "lattice-invariants", "PASS",
@@ -629,7 +606,7 @@ def verify_case(inst):
         checks.append(Check.of(f"phi-fiber-{label}", ok,
                                f"classified {fiber.kind}, declared {expected}"))
         if ok:
-            phi_classes.append((label, _div(cfg, fiber.multiplicities)))
+            phi_classes.append((label, DivisorClass.from_dict(cfg, fiber.multiplicities)))
 
     # 3. theta constraints (fixed locus vs configuration)
     if inst.fixed_curves:
@@ -673,17 +650,13 @@ def verify_case(inst):
 def verify_all(only=None, param=None):
     """Verify every record x parameter combination, in deterministic order.
 
-    only: restrict to one case id; param: restrict to one parameter value
-    (matched against its string form).
+    only: restrict to one case id; param: restrict to the parameter values
+    it names (CaseRecord.matching).
     """
     reports = []
     for rec in builtin_cases():
-        if only is not None and rec.case_id != only:
-            continue
-        for p in rec.param_values:
-            if param is not None and str(p) != str(param):
-                continue
-            reports.append(verify_case(rec.instantiate(p)))
+        if only is None or rec.case_id == only:
+            reports += [verify_case(rec.instantiate(p)) for p in rec.matching(param)]
     return reports
 
 
@@ -723,7 +696,6 @@ def qbasis_check(drop=None, duplicate=None):
 class Mutation:
     mutation_id: str
     case_id: str
-    param: object
     expected_check: str
     note: str
     apply: object = field(compare=False)
@@ -737,14 +709,15 @@ def _mut_corrupt_multiplicity(inst):
     # rho20: the IV* candidate with the F30 coefficient knocked from 2 to 1
     d = inst.dec1.e.to_dict(inst.cfg)
     d["F30"] = 1
-    return replace(inst, dec1=replace(inst.dec1, e=_div(inst.cfg, d), a=1))
+    e = DivisorClass.from_dict(inst.cfg, d)
+    return replace(inst, dec1=replace(inst.dec1, e=e, a=1))
 
 
 def _mut_drop_component(inst):
     # rho13: E1 with F2 removed is no longer isotropic
     d = inst.dec1.e.to_dict(inst.cfg)
     del d["F2"]
-    return replace(inst, dec1=replace(inst.dec1, e=_div(inst.cfg, d)))
+    return replace(inst, dec1=replace(inst.dec1, e=DivisorClass.from_dict(inst.cfg, d)))
 
 
 def _mut_swap_incidence(inst):
@@ -779,25 +752,25 @@ def _mut_corrupt_triple(inst):
 
 def mutation_kit():
     return [
-        Mutation("e2-equals-e1", "rho12", None, "non-proportional",
+        Mutation("e2-equals-e1", "rho12", "non-proportional",
                  "setting E2 := E1 makes the isotropic product vanish",
                  _mut_e2_equals_e1),
-        Mutation("corrupt-multiplicity", "rho20", None, "fiber-class-E1",
+        Mutation("corrupt-multiplicity", "rho20", "fiber-class-E1",
                  "an IV* arm coefficient of 1 breaks the kernel-vector match",
                  _mut_corrupt_multiplicity),
-        Mutation("drop-component", "rho13", None, "fiber-class-E1",
+        Mutation("drop-component", "rho13", "fiber-class-E1",
                  "removing one cycle component leaves self-intersection -2",
                  _mut_drop_component),
-        Mutation("swap-section-incidence", "rho20", None, "mw-evidence-E1",
+        Mutation("swap-section-incidence", "rho20", "mw-evidence-E1",
                  "declaring G34 on C6, which it does not meet, fails the incidence check",
                  _mut_swap_incidence),
-        Mutation("lower-rho", "rho19", None, "mw-evidence-E1",
+        Mutation("lower-rho", "rho19", "mw-evidence-E1",
                  "with rho = 17 the inequality r < rho - 2 fails",
                  _mut_lower_rho),
-        Mutation("stray-intersection", "rho12", None, "theta-constraints",
+        Mutation("stray-intersection", "rho12", "theta-constraints",
                  "an undeclared C1.H1' = 1 breaks C.H = 2",
                  _mut_stray_intersection),
-        Mutation("corrupt-triple", "rho13", None, "lattice-invariants",
+        Mutation("corrupt-triple", "rho13", "lattice-invariants",
                  "a wrong printed triple is caught against the lattice",
                  _mut_corrupt_triple),
     ]
@@ -806,7 +779,7 @@ def mutation_kit():
 def run_mutation(mutation):
     """Apply one mutation and verify; returns (report, flipped_ok) where
     flipped_ok means the expected check failed and no earlier check did."""
-    inst = get_case(mutation.case_id).instantiate(mutation.param)
+    inst = get_case(mutation.case_id).instantiate()
     report = verify_case(mutation.apply(inst))
     first_fail = next((n for n, s, _ in report.checks if s == "FAIL"), None)
     return report, first_fail == mutation.expected_check

@@ -132,16 +132,8 @@ def cmd_verify(args):
 def cmd_case(args):
     from . import cases  # imported here: the other commands start faster without it
     rec = cases.get_case(args.id)
-    inst = rec.instantiate(None if args.param is None else _coerce_param(rec, args.param))
-    sys.stdout.write(fileio.dump_case(inst))
+    sys.stdout.write(fileio.dump_case(rec.instantiate(args.param)))
     return EXIT_OK
-
-
-def _coerce_param(rec, raw):
-    for v in rec.param_values:
-        if str(v) == raw:
-            return v
-    return raw
 
 
 @functools.cache

@@ -21,8 +21,8 @@ meets: lines; each NAME must be a declared section, each COMPONENT a
 curve of that divisor's support, and heights never read them.
 
 Isometry files for the entropy command are whitespace-separated
-integers: first n, then the n*n entries of G row by row, then the n*n
-entries of M.
+integers: first n, at most lattices.MAX_RANK, then the n*n entries of G
+row by row, then the n*n entries of M.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .curves import DivisorClass, classify_fiber, fiber_class_verdict, make_config
 from .errors import K3CertError
 from .fibration import FiberInModel, FibrationModel
+from .lattices import MAX_RANK
 
 
 # The intersection matrix is dense, so n curves cost n^2 entries.
@@ -191,15 +192,24 @@ def parse_config_file(path):
         return parse_config_text(fh.read())
 
 
+def _isometry_int(tok):
+    try:
+        return int(tok)
+    except ValueError as exc:
+        if (tok[1:] if tok[0] in "+-" else tok).isdecimal():
+            # digits that int() refuses: more than it converts
+            raise FileFormatError("integer is too long", 0) from None
+        raise FileFormatError(f"non-integer token: {exc}", 0) from None
+
+
 def parse_isometry_text(text):
     toks = text.split()
-    try:
-        vals = [int(t) for t in toks]
-    except ValueError as exc:
-        raise FileFormatError(f"non-integer token: {exc}", 0) from None
-    if not vals:
+    if not toks:
         raise FileFormatError("empty isometry file", 0)
-    n = vals[0]
+    n = _isometry_int(toks[0])
+    if n > MAX_RANK:
+        raise FileFormatError(f"isometry dimension {n} exceeds {MAX_RANK}", 0)
+    vals = [n] + [_isometry_int(t) for t in toks[1:]]
     if n <= 0 or len(vals) != 1 + 2 * n * n:
         raise FileFormatError(
             f"expected 1 + 2*n^2 integers for n = {n}, got {len(vals)}", 0)

@@ -12,8 +12,9 @@ A/D/E atoms are NEGATIVE definite root lattices: -2 on the diagonal and
 +1 on Dynkin-adjacent pairs.  Node order is the chain first, then the
 branch node(s): for D_m the chain e1..e_{m-1} with the fork node e_m
 attached to e_{m-2}; for E_n the chain e1..e_{n-1} with e_n attached
-to e3.  An expression of total rank above MAX_RANK is refused before any
-Gram matrix is built.
+to e3.  An expression of total rank above MAX_RANK, or with a twist of
+more than MAX_TWIST_DIGITS digits, is refused before its Gram matrix is
+built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .exactlinalg import (
 # The Gram is dense, so a rank-n expression costs n^2 entries and an
 # O(n^3) determinant; rank 64 with small entries takes well under a second.
 MAX_RANK = 64
+# A twist k scales a rank-r block's determinant by k^r, and an untwisted
+# |det| of rank at most 64 is at most 2^64, so every determinant has
+# at most 64*64 + 20 digits: str() still prints it (it refuses over 4300).
+MAX_TWIST_DIGITS = 64
 
 
 class LatticeParseError(K3CertError):
@@ -103,6 +108,9 @@ def parse_lattice_expr(text):
             k = parse_int()
             if k == 0:
                 raise LatticeParseError("twist factor must be nonzero", tstart)
+            if abs(k) >= 10 ** MAX_TWIST_DIGITS:
+                raise LatticeParseError(
+                    f"twist factor exceeds {MAX_TWIST_DIGITS} digits", tstart)
             skip_ws()
             if pos >= n or text[pos] != ')':
                 raise LatticeParseError("expected ')'", pos)

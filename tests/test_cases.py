@@ -118,6 +118,16 @@ def test_singular_k3_structure(variant):
     assert failing == ["mw-evidence-E1", "mw-evidence-E2"]
 
 
+def test_k_is_the_count_of_the_declared_fixed_curves():
+    # the fixed curves are the whole fixed locus, so a row that leaves one
+    # out disagrees with the lattice's component count
+    inst = get_case("rho13").instantiate()
+    rep = verify_case(replace(inst, fixed_curves=inst.fixed_curves[:-1]))
+    assert rep.checks[0] == (
+        "lattice-invariants", "FAIL",
+        "U+D4+A1^7: (rank,a,delta) = (13, 9, 1), k = 3; expected (13, 9, 1), k = 2")
+
+
 def test_unknown_curve_in_a_decomposition_is_reported():
     inst = get_case("rho12").instantiate(None)
     bad = replace(inst, dec1=replace(inst.dec1, r_curve="nosuch"))

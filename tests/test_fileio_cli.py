@@ -198,6 +198,13 @@ def test_cli_refuses_an_incidence_off_the_fiber(tmp_path, capsys, argv, componen
     ("D100000", "lattice rank exceeds 64 (at byte 0)"),
     ("A1^100000", "lattice rank exceeds 64 (at byte 0)"),
     ("U+E8^7+D8", "lattice rank exceeds 64 (at byte 7)"),
+    # a twist of more than 64 digits, refused at its first byte
+    pytest.param("U(" + "9" * 65 + ")", "twist factor exceeds 64 digits (at byte 2)",
+                 id="twist-65-digits"),
+    pytest.param("U(" + "9" * 400 + ")^8", "twist factor exceeds 64 digits (at byte 2)",
+                 id="twist-400-digits"),
+    pytest.param("A1+U(-" + "9" * 4300 + ")", "twist factor exceeds 64 digits (at byte 5)",
+                 id="twist-4300-digits"),
 ])
 def test_cli_lattice_parse_error_bytes(capsys, expr, message):
     assert cli.run(["lattice", "info", expr]) == 2
@@ -234,6 +241,29 @@ def test_cli_entropy(tmp_path, capsys):
     assert "class: hyperbolic" in out
     assert "5.8284271247" in out
     assert "salem factor (ascending): 1 -6 1" in out
+
+
+def test_cli_lattice_twist_of_64_digits_prints(capsys):
+    assert cli.run(["lattice", "info", "U(" + "9" * 64 + ")^4"]) == 0
+    det = capsys.readouterr().out.split("det: ")[1].split("\n")[0]
+    assert det == str((10 ** 64 - 1) ** 8)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("1 " + "9" * 5000 + " 1\n", "integer is too long", id="long-entry"),
+    pytest.param("-" + "9" * 5000 + "\n", "integer is too long", id="long-dimension"),
+    pytest.param("65\n", "isometry dimension 65 exceeds 64", id="dimension-65"),
+    # refused before the matrices are sliced, whatever the file's length
+    pytest.param("65" + " 0" * (2 * 65 * 65) + "\n", "isometry dimension 65 exceeds 64",
+                 id="dimension-65-full"),
+    pytest.param("1 x 1\n", "non-integer token: invalid literal for int() with base 10: 'x'",
+                 id="non-integer"),
+])
+def test_cli_entropy_parse_error_bytes(tmp_path, capsys, text, message):
+    path = tmp_path / "iso.txt"
+    path.write_text(text)
+    assert cli.run(["entropy", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: line 0: {message}\n")
 
 
 def test_cli_verify_exit_codes(capsys):

@@ -1,8 +1,10 @@
-"""Seeded fuzz of the config and lattice-expression parsers through the CLI.
+"""Seeded fuzz of the config, lattice-expression and isometry parsers
+through the CLI.
 
 Any text gives exit 0, 1 or 2 and never a traceback, and exit 2 prints
 exactly one line.  The texts are the 16 `case dump` files under line and
-token mutations, and random lattice expressions; the seed is fixed, so a
+token mutations, random lattice expressions, and the entropy test
+vectors' isometry files under token mutations; the seed is fixed, so a
 failure reproduces.
 """
 
@@ -16,12 +18,19 @@ from k3cert.errors import K3CertError
 SEED = 20261021
 FILE_MUTANTS = 100
 EXPRESSIONS = 500
+ISOMETRY_MUTANTS = 150
 
 STRAY_LINES = ("sections: zz", "rfiber E2: O=zz", "fibration: fiber=E2 zero=zz rho=3",
                "divisor E3: zz=1", "meets: zz zz -1", "bogus: 1", "divisor : a=1",
                "rfiber E1:", "curves:", "meets: a", "fibration: fiber=E1")
 VALUES = ("0", "-1", "1", "2", "3", "99", "-7", "x", "", "=", "E1", "E2", "zz", "a=1")
 HUGE = "9" * 5000
+
+# n, then G, then M: the hyperbolic, parabolic and order-2 test vectors
+ISOMETRIES = ("3  0 1 0  1 0 0  0 0 -2  0 1 0  1 4 -4  0 -2 1",
+              "3  0 1 0  1 0 0  0 0 -2  1 0 0  1 1 2  1 0 1",
+              "2  0 1  1 0  0 1  1 0")
+ENTRIES = ("0", "1", "-1", "2", "-2", "3", "4", "65", "x", "1.5", "9" * 80, HUGE, "-" + HUGE)
 
 
 def _dumps():
@@ -57,6 +66,29 @@ def _mutate(rng, text):
         if not lines:
             lines = ["curves:"]
     return "\n".join(lines) + "\n"
+
+
+def _mutate_isometry(rng, text):
+    """Maybe -G or -M, which M still preserves, then up to two token edits
+    of an isometry file."""
+    toks = text.split()
+    n = int(toks[0])
+    if rng.random() < 0.4:
+        lo = rng.choice((1, 1 + n * n))
+        toks[lo:lo + n * n] = [str(-int(t)) for t in toks[lo:lo + n * n]]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(toks))
+        kind = rng.randrange(6)
+        if kind == 0:
+            del toks[i]
+        elif kind == 1:
+            toks.insert(i, toks[i])
+        elif kind == 2:
+            j = rng.randrange(len(toks))
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            toks[i] = rng.choice(ENTRIES)
+    return " ".join(toks) + "\n"
 
 
 def _pick(rng, good, bad):
@@ -128,3 +160,11 @@ def test_random_lattice_expressions_exit_cleanly(capsys):
     rng = random.Random(SEED)
     for _ in range(EXPRESSIONS):
         _run(capsys, ["lattice", "info", _expression(rng)])
+
+
+def test_mutated_isometry_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(SEED)
+    path = tmp_path / "iso.txt"
+    for _ in range(ISOMETRY_MUTANTS):
+        path.write_text(_mutate_isometry(rng, rng.choice(ISOMETRIES)))
+        _run(capsys, ["entropy", str(path)])
