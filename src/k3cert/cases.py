@@ -45,18 +45,23 @@ class CaseInstance:
     case_id: str
     param: object                  # None, or t in {0,1,2}, or a variant name
     rho: int
-    triple: tuple                  # (rho, a, delta) or None when NS has an opaque summand
+    a_delta: tuple                 # (a, delta) of NS, or None when NS has an opaque summand
     ns_expr: str                   # lattice expression text, or None
     cfg: object                    # CurveConfig
     fixed_curves: tuple            # the whole fixed locus of the involution
     phi_fibers: tuple              # (label, expected_kind, support tuple)
     e_kind: str                    # expected Kodaira kind of E1 and E2
-    dec1: Decomposition            # E1 = D1 + a1*R1 + b1*C, with E1 as dec1.e
+    dec1: Decomposition            # (E1, R1, C): E1 = D1 + a1*R1 + b1*C, a1 and b1 read off E1
     dec2: Decomposition
     encoding_flags: tuple
     phi_rank_expected: int | None = None   # Shioda-Tate rank of phi when asserted
     mw_plan: MWPlan = MWPlan("lemma54")
     witness: str | None = None     # note of the fixed-pivot argument when R1 != R2
+
+    @property
+    def triple(self):
+        """(rho, a, delta), or None when NS has an opaque summand."""
+        return None if self.a_delta is None else (self.rho, *self.a_delta)
 
     @property
     def k(self):
@@ -68,8 +73,8 @@ class CaseInstance:
 @dataclass(frozen=True)
 class CaseRecord:
     case_id: str
-    param_values: tuple            # (None,) when concrete
     builder: object = field(compare=False)   # (row, param) -> CaseInstance
+    param_values: tuple = (None,)            # (None,) when concrete
 
     def matching(self, param=None):
         """The parameter values named by param, compared as text, so 1 and
@@ -105,10 +110,10 @@ def _build_rho11(row, t):
     cfg = make_config(
         ["C", "H", "gH"],
         [("C", "H", 2), ("C", "gH", 2)] + ([("H", "gH", t)] if t else []))
-    dec1 = Decomposition(DivisorClass.from_dict(cfg, {"H": 1, "C": 1}), 1, "H", 1, "C")
-    dec2 = Decomposition(DivisorClass.from_dict(cfg, {"gH": 1, "C": 1}), 1, "gH", 1, "C")
+    dec1 = Decomposition(DivisorClass.from_dict(cfg, {"H": 1, "C": 1}), "H", "C")
+    dec2 = Decomposition(DivisorClass.from_dict(cfg, {"gH": 1, "C": 1}), "gH", "C")
     return row(
-        rho=11, triple=(11, 11, 1), ns_expr="U(2)+A1^9", cfg=cfg, fixed_curves=("C",),
+        rho=11, a_delta=(11, 1), ns_expr="U(2)+A1^9", cfg=cfg, fixed_curves=("C",),
         phi_fibers=(), e_kind="I2/III", dec1=dec1, dec2=dec2,
         witness=("C is pointwise fixed and gH is the image of H, so any point "
                  "of C.H lies on gH"),
@@ -129,10 +134,10 @@ def _build_rho12(row, _):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C1", "H1", "C2", "H2"])
     e2 = _cycle_div(cfg, ["C1", "H1", "C2", "H3"])
-    dec1 = Decomposition(e1, 1, "H1", 1, "C1")
-    dec2 = Decomposition(e2, 1, "H1", 1, "C1")
+    dec1 = Decomposition(e1, "H1", "C1")
+    dec2 = Decomposition(e2, "H1", "C1")
     return row(
-        rho=12, triple=(12, 10, 1), ns_expr="U+A1^10", cfg=cfg, fixed_curves=("C1", "C2"),
+        rho=12, a_delta=(10, 1), ns_expr="U+A1^10", cfg=cfg, fixed_curves=("C1", "C2"),
         phi_fibers=tuple((f"F{i}", "I2", (f"H{i}", f"H{i}'"))
                          for i in range(1, 11)),
         e_kind="I4", dec1=dec1, dec2=dec2,
@@ -155,10 +160,10 @@ def _build_rho13(row, _):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C2", "F1", "C1", "H1", "C3", "F2"])
     e2 = _cycle_div(cfg, ["C2", "F1", "C1", "H2", "C3", "F2"])
-    dec1 = Decomposition(e1, 1, "F1", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F1", 1, "C1")
+    dec1 = Decomposition(e1, "F1", "C1")
+    dec2 = Decomposition(e2, "F1", "C1")
     return row(
-        rho=13, triple=(13, 9, 1), ns_expr="U+D4+A1^7", cfg=cfg,
+        rho=13, a_delta=(9, 1), ns_expr="U+D4+A1^7", cfg=cfg,
         fixed_curves=("C1", "C2", "C3"),
         phi_fibers=(("F0", "I0*", ("C2", "F1", "F2", "F3", "F4")),)
         + tuple((f"G{i}", "I2", (f"H{i}", f"H{i}'")) for i in range(1, 8)),
@@ -186,10 +191,10 @@ def _build_rho14(row, _):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C2", "F12", "C1", "F14", "C4", "F24"])
     e2 = _cycle_div(cfg, ["C2", "F12", "C1", "F14'", "C4", "F24"])
-    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, "F12", "C1")
+    dec2 = Decomposition(e2, "F12", "C1")
     return row(
-        rho=14, triple=(14, 8, 1), ns_expr="U+D4^2+A1^4", cfg=cfg,
+        rho=14, a_delta=(8, 1), ns_expr="U+D4^2+A1^4", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4"),
         phi_fibers=(("F0", "I0*", ("C2", "F12", "F24", "F24'", "F24''")),
                     ("F0'", "I0*", ("C3", "F13", "F34", "F34'", "F34''")))
@@ -219,10 +224,10 @@ def _build_rho15(row, _):
     cfg = make_config(names, meets)
     e1 = _cycle_div(cfg, ["C4", "F45", "C5", "F25", "C2", "F12", "C1", "F14"])
     e2 = _cycle_div(cfg, ["C4", "F45", "C5", "F25'", "C2", "F12", "C1", "F14"])
-    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, "F12", "C1")
+    dec2 = Decomposition(e2, "F12", "C1")
     return row(
-        rho=15, triple=(15, 7, 1), ns_expr="U+D4^3+A1", cfg=cfg,
+        rho=15, a_delta=(7, 1), ns_expr="U+D4^3+A1", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5"),
         phi_fibers=(("F0", "I0*", ("C2", "F12", "F25", "F25'", "F25''")),
                     ("F0'", "I0*", ("C3", "F13", "F35", "F35'", "F35''")),
@@ -259,10 +264,10 @@ def _build_rho16(row, _):
                           "C4", "F46", "C6", "F26", "C2", "G23"])
     e2 = _cycle_div(cfg, ["C3", "F13", "C1", "F15", "C5", "G45",
                           "C4", "F46", "C6", "F26'", "C2", "G23"])
-    dec1 = Decomposition(e1, 1, "F13", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F13", 1, "C1")
+    dec1 = Decomposition(e1, "F13", "C1")
+    dec2 = Decomposition(e2, "F13", "C1")
     return row(
-        rho=16, triple=(16, 6, 1), ns_expr="U+D6^2+A1^2", cfg=cfg,
+        rho=16, a_delta=(6, 1), ns_expr="U+D6^2+A1^2", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5", "C6"),
         phi_fibers=(("FA", "I2*", ("C2", "G23", "C3", "F13", "F36", "F26", "F26'")),
                     ("FB", "I2*", ("C4", "G45", "C5", "F15", "F56", "F46", "F46'")),
@@ -298,10 +303,10 @@ def _build_rho17(row, _):
                           "F31", "C3", "G23", "C2", "F27", "C7", "F47"])
     e2 = _cycle_div(cfg, ["C4", "G45", "C5", "G56", "C6", "F61", "C1",
                           "F31", "C3", "G23", "C2", "F27", "C7", "F47'"])
-    dec1 = Decomposition(e1, 1, "F31", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F31", 1, "C1")
+    dec1 = Decomposition(e1, "F31", "C1")
+    dec2 = Decomposition(e2, "F31", "C1")
     return row(
-        rho=17, triple=(17, 5, 1), ns_expr="U+D6+D8+A1", cfg=cfg,
+        rho=17, a_delta=(5, 1), ns_expr="U+D6+D8+A1", cfg=cfg,
         fixed_curves=("C1", "C2", "C3", "C4", "C5", "C6", "C7"),
         phi_fibers=(("FA", "I2*", ("F27", "F27'", "C2", "G23", "C3", "F37", "F31")),
                     ("FB", "I4*", ("F47", "F47'", "C4", "G45", "C5", "G56",
@@ -335,10 +340,10 @@ def _build_rho18_delta0(row, _):
            "F17", "C1", "F12", "C2", "F28''", "C8", "F38"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F38'"])
-    dec1 = Decomposition(e1, 1, "F12", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F12", 1, "C1")
+    dec1 = Decomposition(e1, "F12", "C1")
+    dec2 = Decomposition(e2, "F12", "C1")
     return row(
-        rho=18, triple=(18, 4, 0), ns_expr="U+D4+D12", cfg=cfg,
+        rho=18, a_delta=(4, 0), ns_expr="U+D4+D12", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 9)),
         phi_fibers=(("F0", "I0*", ("C2", "F28", "F28'", "F28''", "F12")),
                     ("FB", "I8*", ("F38", "F38'", "C3", "G34", "C4", "G45",
@@ -371,10 +376,10 @@ def _build_rho18_delta1(row, _):
            "C7", "F17", "C1", "F18", "C8", "F28"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F28'"])
-    dec1 = Decomposition(e1, 1, "F17", 1, "C1")
-    dec2 = Decomposition(e2, 1, "F17", 1, "C1")
+    dec1 = Decomposition(e1, "F17", "C1")
+    dec2 = Decomposition(e2, "F17", "C1")
     return row(
-        rho=18, triple=(18, 4, 1), ns_expr="U+D14+A1^2", cfg=cfg,
+        rho=18, a_delta=(4, 1), ns_expr="U+D14+A1^2", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 9)),
         phi_fibers=(("FA", "I10*", ("F28", "F28'", "C2", "G23", "C3", "G34",
                                     "C4", "G45", "C5", "G56", "C6", "G67",
@@ -406,10 +411,10 @@ def _build_rho19(row, _):
            "C7", "G78", "C8", "F89", "C9", "F29"]
     e1 = _cycle_div(cfg, cyc)
     e2 = _cycle_div(cfg, cyc[:-1] + ["F29'"])
-    dec1 = Decomposition(e1, 1, "F89", 1, "C9")
-    dec2 = Decomposition(e2, 1, "F89", 1, "C9")
+    dec1 = Decomposition(e1, "F89", "C9")
+    dec2 = Decomposition(e2, "F89", "C9")
     return row(
-        rho=19, triple=(19, 3, 1), ns_expr="U+D16+A1", cfg=cfg,
+        rho=19, a_delta=(3, 1), ns_expr="U+D16+A1", cfg=cfg,
         fixed_curves=tuple(f"C{i}" for i in range(1, 10)),
         phi_fibers=(("FA", "I12*", ("F29", "F29'", "C2", "G23", "C3", "G34",
                                     "C4", "G45", "C5", "G56", "C6", "G67",
@@ -442,10 +447,10 @@ def _build_rho20(row, _):
     arms = {"C0": 3, "F30": 2, "C3": 1, "F60": 2, "C6": 1, "C9": 1}
     e1 = DivisorClass.from_dict(cfg, {**arms, "F90": 2})
     e2 = DivisorClass.from_dict(cfg, {**arms, "F90'": 2})
-    dec1 = Decomposition(e1, 2, "F30", 3, "C0")
-    dec2 = Decomposition(e2, 2, "F30", 3, "C0")
+    dec1 = Decomposition(e1, "F30", "C0")
+    dec2 = Decomposition(e2, "F30", "C0")
     return row(
-        rho=20, triple=(20, 2, 1), ns_expr="U+E8+D10", cfg=cfg,
+        rho=20, a_delta=(2, 1), ns_expr="U+E8+D10", cfg=cfg,
         fixed_curves=("C0",) + tuple(f"C{i}" for i in range(1, 10)),
         phi_fibers=(("FA", "II*", ("C2", "G23", "C3", "F30", "G34", "C4",
                                    "G45", "C5", "F15")),
@@ -485,10 +490,10 @@ def _build_singular_k3(row, variant):
     leaves = {"a7": 1, "a9": 1, "b7": 1, "b9": 1}
     e1 = DivisorClass.from_dict(cfg, {**chain, **leaves, "D1": 2})
     e2 = DivisorClass.from_dict(cfg, {**chain, **leaves, "D2": 2})
-    dec1 = Decomposition(e1, 2, "a2", 2, "a1")
-    dec2 = Decomposition(e2, 2, "a2", 2, "a1")
+    dec1 = Decomposition(e1, "a2", "a1")
+    dec2 = Decomposition(e2, "a2", "a1")
     return row(
-        rho=20, triple=None, ns_expr=None, cfg=cfg, fixed_curves=(),
+        rho=20, a_delta=None, ns_expr=None, cfg=cfg, fixed_curves=(),
         phi_fibers=tuple(phi_fibers),
         phi_rank_expected=2 if variant == "none" else 1,
         e_kind="I12*", dec1=dec1, dec2=dec2,
@@ -509,19 +514,18 @@ def _build_singular_k3(row, variant):
 def builtin_cases():
     """All built-in case records in deterministic order."""
     return [
-        CaseRecord("rho11", (0, 1, 2), _build_rho11),
-        CaseRecord("rho12", (None,), _build_rho12),
-        CaseRecord("rho13", (None,), _build_rho13),
-        CaseRecord("rho14", (None,), _build_rho14),
-        CaseRecord("rho15", (None,), _build_rho15),
-        CaseRecord("rho16", (None,), _build_rho16),
-        CaseRecord("rho17", (None,), _build_rho17),
-        CaseRecord("rho18-delta0", (None,), _build_rho18_delta0),
-        CaseRecord("rho18-delta1", (None,), _build_rho18_delta1),
-        CaseRecord("rho19", (None,), _build_rho19),
-        CaseRecord("rho20", (None,), _build_rho20),
-        CaseRecord("singular-k3", ("none", "I2", "III"),
-                   _build_singular_k3),
+        CaseRecord("rho11", _build_rho11, (0, 1, 2)),
+        CaseRecord("rho12", _build_rho12),
+        CaseRecord("rho13", _build_rho13),
+        CaseRecord("rho14", _build_rho14),
+        CaseRecord("rho15", _build_rho15),
+        CaseRecord("rho16", _build_rho16),
+        CaseRecord("rho17", _build_rho17),
+        CaseRecord("rho18-delta0", _build_rho18_delta0),
+        CaseRecord("rho18-delta1", _build_rho18_delta1),
+        CaseRecord("rho19", _build_rho19),
+        CaseRecord("rho20", _build_rho20),
+        CaseRecord("singular-k3", _build_singular_k3, ("none", "I2", "III")),
     ]
 
 
@@ -585,7 +589,7 @@ def verify_case(inst):
             inv = two_elementary_invariants(gram_of(inst.ns_expr))
             got = (inv.rank, inv.a, inv.delta)
             kk = fixed_locus_component_count(inv.rank, inv.a)
-            ok = got == inst.triple and kk == inst.k and inv.rank == inst.rho
+            ok = got == inst.triple and kk == inst.k
             checks.append(Check.of(
                 "lattice-invariants", ok,
                 f"{inst.ns_expr}: (rank,a,delta) = {got}, k = {kk}; "
@@ -697,11 +701,11 @@ class Mutation:
     mutation_id: str
     case_id: str
     expected_check: str
-    note: str
     apply: object = field(compare=False)
 
 
 def _mut_e2_equals_e1(inst):
+    # rho12: setting E2 := E1 makes the isotropic product vanish
     return replace(inst, dec2=inst.dec1)
 
 
@@ -710,7 +714,7 @@ def _mut_corrupt_multiplicity(inst):
     d = inst.dec1.e.to_dict(inst.cfg)
     d["F30"] = 1
     e = DivisorClass.from_dict(inst.cfg, d)
-    return replace(inst, dec1=replace(inst.dec1, e=e, a=1))
+    return replace(inst, dec1=replace(inst.dec1, e=e))
 
 
 def _mut_drop_component(inst):
@@ -729,50 +733,32 @@ def _mut_swap_incidence(inst):
 
 def _mut_lower_rho(inst):
     # rho19: with rho = 17 the case-2 inequality r < rho - 2 fails
-    return replace(inst, rho=17, ns_expr=None, triple=None)
+    return replace(inst, rho=17, ns_expr=None, a_delta=None)
 
 
 def _mut_stray_intersection(inst):
     # rho12: an extra C1.H1' = 1 breaks C.H = 2 for H1'
-    names = list(inst.cfg.curve_names)
-    meets = []
-    n = len(names)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = inst.cfg.inter[i][j]
-            if v:
-                meets.append((names[i], names[j], v))
-    meets.append(("C1", "H1'", 1))
-    return replace(inst, cfg=make_config(names, meets))
+    cfg = inst.cfg
+    i, j = cfg.index("C1"), cfg.index("H1'")
+    inter = [list(row) for row in cfg.inter]
+    inter[i][j] = inter[j][i] = 1
+    return replace(inst, cfg=replace(cfg, inter=tuple(map(tuple, inter))))
 
 
 def _mut_corrupt_triple(inst):
-    return replace(inst, triple=(13, 8, 1))
+    # rho13: a wrong printed triple is caught against the lattice
+    return replace(inst, a_delta=(8, 1))
 
 
 def mutation_kit():
     return [
-        Mutation("e2-equals-e1", "rho12", "non-proportional",
-                 "setting E2 := E1 makes the isotropic product vanish",
-                 _mut_e2_equals_e1),
-        Mutation("corrupt-multiplicity", "rho20", "fiber-class-E1",
-                 "an IV* arm coefficient of 1 breaks the kernel-vector match",
-                 _mut_corrupt_multiplicity),
-        Mutation("drop-component", "rho13", "fiber-class-E1",
-                 "removing one cycle component leaves self-intersection -2",
-                 _mut_drop_component),
-        Mutation("swap-section-incidence", "rho20", "mw-evidence-E1",
-                 "declaring G34 on C6, which it does not meet, fails the incidence check",
-                 _mut_swap_incidence),
-        Mutation("lower-rho", "rho19", "mw-evidence-E1",
-                 "with rho = 17 the inequality r < rho - 2 fails",
-                 _mut_lower_rho),
-        Mutation("stray-intersection", "rho12", "theta-constraints",
-                 "an undeclared C1.H1' = 1 breaks C.H = 2",
-                 _mut_stray_intersection),
-        Mutation("corrupt-triple", "rho13", "lattice-invariants",
-                 "a wrong printed triple is caught against the lattice",
-                 _mut_corrupt_triple),
+        Mutation("e2-equals-e1", "rho12", "non-proportional", _mut_e2_equals_e1),
+        Mutation("corrupt-multiplicity", "rho20", "fiber-class-E1", _mut_corrupt_multiplicity),
+        Mutation("drop-component", "rho13", "fiber-class-E1", _mut_drop_component),
+        Mutation("swap-section-incidence", "rho20", "mw-evidence-E1", _mut_swap_incidence),
+        Mutation("lower-rho", "rho19", "mw-evidence-E1", _mut_lower_rho),
+        Mutation("stray-intersection", "rho12", "theta-constraints", _mut_stray_intersection),
+        Mutation("corrupt-triple", "rho13", "lattice-invariants", _mut_corrupt_triple),
     ]
 
 

@@ -23,7 +23,13 @@ from .exactlinalg import inertia, kernel_basis
 
 
 class ConfigError(K3CertError):
-    pass
+    """A configuration that cannot be built.  meeting is the index of the
+    offending (name, name, k) triple given to make_config, or None when
+    no one meeting is at fault."""
+
+    def __init__(self, message, meeting=None):
+        super().__init__(message)
+        self.meeting = meeting
 
 
 class FiberError(K3CertError):
@@ -57,7 +63,8 @@ class CurveConfig:
 def make_config(names, meetings):
     """Build a CurveConfig from curve names and (name, name, k) triples.
 
-    Unlisted pairs meet 0 times; the diagonal is fixed at -2.
+    Unlisted pairs meet 0 times; the diagonal is fixed at -2.  A pair
+    is listed at most once, in either order.
     """
     names = list(names)
     if len(set(names)) != len(names):
@@ -65,15 +72,20 @@ def make_config(names, meetings):
     n = len(names)
     pos = {c: i for i, c in enumerate(names)}
     m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b, k in meetings:
+    zeros = set()       # pairs listed as meeting 0 times, which m cannot tell
+    for t, (a, b, k) in enumerate(meetings):
         if a not in pos or b not in pos:
             missing = a if a not in pos else b
-            raise ConfigError(f"unknown curve {missing!r}")
+            raise ConfigError(f"unknown curve {missing!r}", t)
         if a == b:
-            raise ConfigError(f"diagonal of {a!r} is fixed at -2")
+            raise ConfigError(f"diagonal of {a!r} is fixed at -2", t)
         if k < 0:
-            raise ConfigError("intersection numbers are nonnegative off the diagonal")
+            raise ConfigError("intersection numbers are nonnegative off the diagonal", t)
         i, j = pos[a], pos[b]
+        if m[i][j] or zeros and ((i, j) in zeros or (j, i) in zeros):
+            raise ConfigError(f"meeting of {a!r} and {b!r} is listed twice", t)
+        if not k:
+            zeros.add((i, j))
         m[i][j] = m[j][i] = k
     return CurveConfig(tuple(names), tuple(tuple(r) for r in m), pos)
 

@@ -229,20 +229,21 @@ def mw_evidence(plan, e, fiber, cfg, fixed_curves, rho):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """E = D + a*R + b*C with a, b > 0 and D effective (possibly zero);
-    D is not stated but derived as E - a*R - b*C."""
+    """E = D + a*R + b*C with a, b > 0 and D effective (possibly zero),
+    where a and b are E's own coefficients of R and C: the decomposition
+    is its choice of R and the pivot C, and D is E - a*R - b*C."""
     e: DivisorClass
-    a: int
     r_curve: str
-    b: int
     c_curve: str
 
     def check_shape(self, cfg):
-        if self.a <= 0 or self.b <= 0:
-            raise EvidenceError("decomposition needs a > 0 and b > 0")
+        i, j = cfg.index(self.r_curve), cfg.index(self.c_curve)
         d = list(self.e.coeffs)
-        d[cfg.index(self.r_curve)] -= self.a
-        d[cfg.index(self.c_curve)] -= self.b
+        a, b = d[i], d[j]
+        if a <= 0 or b <= 0:
+            raise EvidenceError("decomposition needs a > 0 and b > 0")
+        d[i] -= a
+        d[j] -= b
         if min(d) < 0:
             raise EvidenceError("D part of the decomposition must be effective")
 

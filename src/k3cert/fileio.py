@@ -1,7 +1,7 @@
 """Text formats for curve configurations, divisors and fibration models.
 
 Config files are UTF-8 text, one directive per line, '#' starts a
-comment.  Directives, in any order (curves: must precede uses):
+comment.  Directives, in any order:
 
     curves: NAME NAME ...
     meets: NAME NAME K              # unlisted pairs meet 0 times
@@ -11,8 +11,12 @@ comment.  Directives, in any order (curves: must precede uses):
     rfiber LABEL: NAME=COMPONENT ...   # reducible fiber + section incidence
 
 The diagonal of the intersection matrix is implied -2, and a curves:
-line lists at most MAX_CURVES names.  The fibration's
-fiber divisor must be a fiber class.  Its curves are (-2)-curves, so its
+line lists at most MAX_CURVES names.  A meets: multiplicity or divisor
+coefficient has at most MAX_DIGITS digits.  Nothing is stated twice: a
+pair of curves has at most one meets: line, in either order, a name at
+most one NAME= on a line, and a sections: line no name twice;
+fibration: takes the keys fiber, zero and rho only.  Errors name the
+line at fault.  The fibration's fiber divisor must be a fiber class.  Its curves are (-2)-curves, so its
 fiber is always one of the reducible fibers, whether or not an `rfiber`
 line declares it.  An `rfiber` line needs a fibration: line and names a
 declared divisor, whose support is classified.  Its NAME=COMPONENT pairs
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import DivisorClass, classify_fiber, fiber_class_verdict, make_config
+from .curves import ConfigError, DivisorClass, classify_fiber, fiber_class_verdict, make_config
 from .errors import K3CertError
 from .fibration import FiberInModel, FibrationModel
 from .lattices import MAX_RANK
@@ -37,6 +41,12 @@ from .lattices import MAX_RANK
 
 # The intersection matrix is dense, so n curves cost n^2 entries.
 MAX_CURVES = 256
+# Python prints no int of more than 4300 digits.  The largest numbers
+# printed from a config are minors of matrices with at most MAX_CURVES + 2
+# rows whose entries have at most MAX_DIGITS digits; by Hadamard's bound
+# such a minor has at most 258 * (12 + log10 sqrt(258)), about 3,410 digits.
+MAX_DIGITS = 12
+_INT_LIMIT = 10 ** MAX_DIGITS
 
 
 class FileFormatError(K3CertError):
@@ -52,16 +62,39 @@ class ParsedConfig:
     model: object           # FibrationModel or None
 
 
-def _parse_assignments(rest, line_no, value_parser):
+def _refuse_long_integer(text, line_no):
+    """Refuse text if it is an integer of more than MAX_DIGITS digits.
+    Called on error paths only: a parsed value v with |v| < 10^MAX_DIGITS
+    needs no look at its text."""
+    digits = text.lstrip("+-").replace("_", "")
+    if len(digits) > MAX_DIGITS and digits.isdecimal():
+        raise FileFormatError(
+            f"integer {text[:MAX_DIGITS]}... has more than {MAX_DIGITS} digits", line_no)
+
+
+def _first_repeat(items):
+    return next(x for i, x in enumerate(items) if x in items[:i])
+
+
+def _parse_assignments(rest, line_no, value_parser=str):
+    toks = rest.split()
     out = {}
-    for tok in rest.split():
+    for tok in toks:
         if "=" not in tok:
             raise FileFormatError(f"expected NAME=VALUE, got {tok!r}", line_no)
         name, _, val = tok.partition("=")
         try:
             out[name] = value_parser(val)
         except ValueError:
+            _refuse_long_integer(val, line_no)
             raise FileFormatError(f"bad value in {tok!r}", line_no) from None
+    if len(out) < len(toks):
+        name = _first_repeat([tok.partition("=")[0] for tok in toks])
+        raise FileFormatError(f"repeated key {name}=", line_no)
+    if value_parser is int and out and not (
+            -_INT_LIMIT < min(out.values()) and max(out.values()) < _INT_LIMIT):
+        for tok in toks:
+            _refuse_long_integer(tok.partition("=")[2], line_no)
     return out
 
 
@@ -79,7 +112,7 @@ def parse_config_text(text):
         if line.startswith("curves:"):
             if names is not None:
                 raise FileFormatError("duplicate curves: line", line_no)
-            names = line[len("curves:"):].split()
+            names, names_line = line[len("curves:"):].split(), line_no
             if not names:
                 raise FileFormatError("curves: line lists no curves", line_no)
             if len(names) > MAX_CURVES:
@@ -92,7 +125,10 @@ def parse_config_text(text):
             try:
                 k = int(parts[2])
             except ValueError:
+                _refuse_long_integer(parts[2], line_no)
                 raise FileFormatError(f"bad multiplicity {parts[2]!r}", line_no) from None
+            if not -_INT_LIMIT < k < _INT_LIMIT:
+                _refuse_long_integer(parts[2], line_no)
             meets.append((parts[0], parts[1], k, line_no))
         elif line.startswith("divisor "):
             head, _, rest = line[len("divisor "):].partition(":")
@@ -105,7 +141,10 @@ def parse_config_text(text):
         elif line.startswith("fibration:"):
             if fibration is not None:
                 raise FileFormatError("duplicate fibration: line", line_no)
-            kv = _parse_assignments(line[len("fibration:"):], line_no, str)
+            kv = _parse_assignments(line[len("fibration:"):], line_no)
+            for key in kv:
+                if key not in ("fiber", "zero", "rho"):
+                    raise FileFormatError(f"fibration: unknown key {key}=", line_no)
             for key in ("fiber", "zero", "rho"):
                 if key not in kv:
                     raise FileFormatError(f"fibration: missing {key}=", line_no)
@@ -118,10 +157,13 @@ def parse_config_text(text):
             if sections is not None:
                 raise FileFormatError("duplicate sections: line", line_no)
             sections = line[len("sections:"):].split()
+            if len(set(sections)) < len(sections):
+                raise FileFormatError(
+                    f"sections: line lists {_first_repeat(sections)} twice", line_no)
         elif line.startswith("rfiber "):
             head, _, rest = line[len("rfiber "):].partition(":")
             label = head.strip()
-            rfibers.append((label, _parse_assignments(rest, line_no, str), line_no))
+            rfibers.append((label, _parse_assignments(rest, line_no), line_no))
         else:
             raise FileFormatError(f"unknown directive {line.split()[0]!r}", line_no)
 
@@ -129,8 +171,9 @@ def parse_config_text(text):
         raise FileFormatError("missing curves: line", 0)
     try:
         cfg = make_config(names, [(a, b, k) for a, b, k, _ in meets])
-    except ValueError as exc:
-        raise FileFormatError(str(exc), meets[0][3] if meets else 0) from None
+    except ConfigError as exc:
+        line_no = names_line if exc.meeting is None else meets[exc.meeting][3]
+        raise FileFormatError(str(exc), line_no) from None
 
     divisors = {}
     for label, (coeffs, line_no) in raw_divisors.items():

@@ -88,6 +88,19 @@ def test_lemma54_boundaries():
     assert not ok and detail.startswith("case2:")
 
 
+def test_lemma54_refusals_name_the_clause():
+    # E is a 4-cycle; Y and Z lie off it, and Z meets v0 once, so Z is
+    # not orthogonal to E
+    _, names = cycle_config(4)
+    cycle = [(names[i], names[(i + 1) % 4], 1) for i in range(4)]
+    cfg = make_config(names + ["Y", "Z"], cycle + [("Z", "v0", 1)])
+    e = DivisorClass.from_dict(cfg, {n: 1 for n in names})
+    assert lemma54_check(e, cfg, ["v0", "Z"], rho=10) == (
+        False, "case2:missing-orthogonal: missing fixed curve Z has C.E=1, expected 0")
+    assert lemma54_check(e, cfg, ["v0", "Y", "Z"], rho=10) == (
+        False, "fixed-curves-in-support: 1 of 3 fixed curves in Supp E, need k or k-1")
+
+
 def test_lemma54_shioda_tate_consistency_randomized():
     """Verdicts agree with sign(rho-1-r) / sign(rho-2-r) on 100 random
     synthetic fiber setups; with E the only reducible fiber the rank is
@@ -438,8 +451,8 @@ def _toy_certificate():
     cfg = make_config(names, meets)
     e1 = DivisorClass.from_dict(cfg, {"C": 1, "R": 1, "A": 1, "B": 1})
     e2 = DivisorClass.from_dict(cfg, {"C": 1, "R": 1, "A'": 1, "B'": 1})
-    dec1 = Decomposition(e1, 1, "R", 1, "C")
-    dec2 = Decomposition(e2, 1, "R", 1, "C")
+    dec1 = Decomposition(e1, "R", "C")
+    dec2 = Decomposition(e2, "R", "C")
     ev = (True, "lemma54-case1: synthetic")
     return cfg, e1, e2, dec1, dec2, ev
 
@@ -465,7 +478,7 @@ def test_cor32_fails_on_proportional():
 
 def test_cor32_needs_witness_when_r_curves_differ():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    dec2b = Decomposition(e2, 1, "A'", 1, "C")
+    dec2b = Decomposition(e2, "A'", "C")
     checks = cor32_verify(dec1, dec2b, ev, ev, cfg, _verdicts(cfg, dec1, dec2b))
     assert ("common-point", "FAIL") in {(n, s) for n, s, _ in checks}
     # a fixed-pivot witness needs C.R positive for both curves; C.A' = 0 here
@@ -476,10 +489,10 @@ def test_cor32_needs_witness_when_r_curves_differ():
 
 def test_cor32_reports_bad_decomposition():
     cfg, e1, e2, dec1, dec2, ev = _toy_certificate()
-    # a = 2 on R leaves D = E1 - 2R - C with coefficient -1 on R; a curve
-    # the configuration lacks is reported, not raised
-    for bad in (Decomposition(e1, 2, "R", 1, "C"), Decomposition(e1, 1, "nosuch", 1, "C"),
-                Decomposition(e1, 1, "R", 1, "nosuch")):
+    # R = A' lies outside Supp E1, so a = 0 there; a curve the
+    # configuration lacks is reported, not raised
+    for bad in (Decomposition(e1, "A'", "C"), Decomposition(e1, "nosuch", "C"),
+                Decomposition(e1, "R", "nosuch")):
         checks = cor32_verify(bad, dec2, ev, ev, cfg, _verdicts(cfg, bad, dec2))
         assert ("decomposition-E1", "FAIL") in {(n, s) for n, s, _ in checks}
     # the common-point check needs the unknown pivot, so it fails too

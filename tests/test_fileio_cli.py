@@ -62,6 +62,9 @@ CHAIN_FIBER_ERROR = ("parse error: line 6: fiber divisor 'E' is not a fiber clas
                      "(self-intersection -2 != 0)\n")
 NON_SECTION_INCIDENCE = SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c2 c4=c1")
 TOO_MANY_CURVES = SAMPLE.replace("c4 c5\n", "c4 c5 " + " ".join(f"x{i}" for i in range(249)) + "\n", 1)
+# a 2-curve file whose integer on line 3 (or 2) has more than 12 digits
+LONG_COEFFICIENT = "curves: a b\nmeets: a b 2\ndivisor E: a=2" + "9" * 200 + " b=1\n"
+LONG_INTEGER_ERROR = "parse error: line {line}: integer {head}... has more than 12 digits\n"
 
 
 @pytest.mark.parametrize("bad,line", [
@@ -85,6 +88,27 @@ def test_parse_errors_carry_line_numbers(bad, line):
         assert exc.value.line_no == 0
     else:
         assert exc.value.line_no == line
+
+
+def test_twelve_digit_integers_parse():
+    big = 10 ** 12 - 1
+    parsed = fileio.parse_config_text(
+        f"curves: a b\nmeets: a b {big}\ndivisor E: a={big} b=-{big}\n")
+    assert parsed.cfg.meet("a", "b") == big
+    assert parsed.divisors["E"].coeffs == (big, -big)
+
+
+@pytest.mark.parametrize("text,label,out", [
+    ("curves: a b\nmeets: a b 2\ndivisor Z: a=0\n", "Z", "Z: not a fiber class (empty divisor)\n"),
+    # two disjoint I2 fibers: E.E = 0 and G.m = 0, but no one fiber
+    ("curves: a b c d\nmeets: a b 2\nmeets: c d 2\ndivisor E: a=1 b=1 c=1 d=1\n", "E",
+     "E: not a fiber class (support is not connected)\n"),
+])
+def test_cli_fiber_classify_refuses_with_exit_1(tmp_path, capsys, text, label, out):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.run(["fiber", "classify", str(path), label]) == 1
+    assert capsys.readouterr() == (out, "")
 
 
 def test_isometry_file_parsing():
@@ -163,6 +187,51 @@ def test_cli_height_needs_no_declared_incidence(tmp_path, capsys):
      "parse error: line 14: rfiber E: c4 is not a declared section\n"),
     (["fiber", "classify", "{file}", "E"], TOO_MANY_CURVES,
      "parse error: line 2: curves: line lists 257 curves, more than 256\n"),
+    # an integer of more than 12 digits, refused before anything prints it
+    pytest.param(["fiber", "classify", "{file}", "E"], LONG_COEFFICIENT,
+                 LONG_INTEGER_ERROR.format(line=3, head="2" + "9" * 11), id="coefficient-201-digits"),
+    pytest.param(["fiber", "classify", "{file}", "E"], LONG_COEFFICIENT.replace("2" + "9" * 200, "9" * 5000),
+                 LONG_INTEGER_ERROR.format(line=3, head="9" * 12), id="coefficient-5000-digits"),
+    pytest.param(["fiber", "classify", "{file}", "E"], LONG_COEFFICIENT.replace("a b 2", "a b " + "9" * 5000),
+                 LONG_INTEGER_ERROR.format(line=2, head="9" * 12), id="multiplicity-5000-digits"),
+    pytest.param(["fiber", "classify", "{file}", "E"], LONG_COEFFICIENT.replace("a b 2", "a b 1" + "0" * 12),
+                 LONG_INTEGER_ERROR.format(line=2, head="1" + "0" * 11), id="multiplicity-13-digits"),
+    # a configuration error is reported at the line at fault
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("meets: c1 c2 1", "meets: c1 zz 1"),
+     "parse error: line 4: unknown curve 'zz'\n"),
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("meets: c2 c3 1", "meets: c2 c2 1"),
+     "parse error: line 5: diagonal of 'c2' is fixed at -2\n"),
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("meets: c3 c4 1", "meets: c3 c4 -1"),
+     "parse error: line 6: intersection numbers are nonnegative off the diagonal\n"),
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("c4 c5\n", "c4 c5 c0\n", 1),
+     "parse error: line 2: duplicate curve names\n"),
+    # nothing is stated twice, and fibration: takes its three keys only
+    (["height", "{file}", "P"], SAMPLE + "meets: c2 P 0\n",
+     "parse error: line 15: meeting of 'c2' and 'P' is listed twice\n"),
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("meets: P c2 1", "meets: P c2 0\nmeets: P c2 1"),
+     "parse error: line 11: meeting of 'P' and 'c2' is listed twice\n"),
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("divisor E: c0=1", "divisor E: c0=2 c0=1"),
+     "parse error: line 11: repeated key c0=\n"),
+    (["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=10 rho=3"),
+     "parse error: line 12: repeated key rho=\n"),
+    (["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=10 foo=bar"),
+     "parse error: line 12: fibration: unknown key foo=\n"),
+    (["height", "{file}", "P"], SAMPLE.replace("P=c2", "P=c2 O=c0"),
+     "parse error: line 14: repeated key O=\n"),
+    (["height", "{file}", "P"], SAMPLE.replace("sections: O P", "sections: O P P"),
+     "parse error: line 13: sections: line lists P twice\n"),
+    # refusals of malformed assignments, values and rfiber lines
+    (["fiber", "classify", "{file}", "E"], SAMPLE.replace("c0=1 c1=1", "c0 c1=1"),
+     "parse error: line 11: expected NAME=VALUE, got 'c0'\n"),
+    (["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=ten"),
+     "parse error: line 12: bad rho 'ten'\n"),
+    (["height", "{file}", "P"], SAMPLE.replace("rfiber E:", "rfiber X:"),
+     "parse error: line 14: rfiber divisor 'X' not declared\n"),
+    (["height", "{file}", "P"], SAMPLE + "divisor Z: O=1 P=1\nrfiber Z:\n",
+     "parse error: line 16: rfiber Z: support is not connected\n"),
+    (["mw", "rank", "{file}"], SAMPLE.replace("divisor E: c0=1", "divisor E: c0=-1"),
+     "parse error: line 12: fiber divisor 'E' is not a fiber class "
+     "(divisor class is not effective)\n"),
 ])
 def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
@@ -506,6 +575,8 @@ CONTRADICTED_ERROR = ("error: section P is declared on component c3, but its "
     # an incidence claim for a name that is no section is still checked
     (["height", "{file}", "P"], SAMPLE.replace("rfiber E: O=c0 P=c2", "rfiber E: O=c0 P=c2 Z=c1"),
      "error: unknown curve 'Z'\n"),
+    (["height", "{file}", "P"], SAMPLE.replace("sections: O P", "sections: P").replace("O=c0 ", ""),
+     "error: zero section is not among the declared sections\n"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"
