@@ -674,19 +674,11 @@ def qbasis_config():
     return make_config(names, meets)
 
 
-def qbasis_check(drop=None, duplicate=None):
-    """Determinant of the Gram matrix of the classes [H1'], [C], [H1..H9].
-
-    drop removes one listed class (reporting the smaller minor);
-    duplicate repeats one class (forcing determinant 0).  Returns
-    (det, nonzero).
-    """
+def qbasis_check():
+    """Determinant of the Gram matrix of the classes [H1'], [C], [H1..H9]:
+    (det, nonzero)."""
     cfg = qbasis_config()
     classes = ["H1'", "C"] + [f"H{i}" for i in range(1, 10)]
-    if drop is not None:
-        classes = [c for c in classes if c != drop]
-    if duplicate is not None:
-        classes = classes + [duplicate]
     idx = [cfg.index(c) for c in classes]
     g = [[cfg.inter[i][j] for j in idx] for i in idx]
     d = det_exact(g)

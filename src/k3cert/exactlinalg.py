@@ -125,85 +125,50 @@ def smith_normal_form(m):
     """Return (d, u, v) with u*m*v = d in Smith normal form.
 
     d is diagonal with nonnegative entries, each dividing the next;
-    u and v are unimodular.  Pivot choice: smallest nonzero absolute
-    value, which keeps intermediate entries small.
+    u and v are unimodular.  Row operations on the first r rows of
+    b = [[m, I_r], [I_c, 0]] and column operations on its first c columns
+    turn b into [[u m v, u], [v, 0]].  A column operation is a row
+    operation on the transpose, of the same shape with r and c swapped.
     """
     r, c = dims(m)
-    a = copy_matrix(m)
-    u = identity(r)
-    v = identity(c)
-    t = 0
-    while t < min(r, c):
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            for row in v:
-                row[t], row[bj] = row[bj], row[t]
-        # clear row and column t; restart if a reduction leaves a remainder
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(c):
-                        a[i][j] -= q * a[t][j]
-                    for j in range(r):
-                        u[i][j] -= q * u[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-        # divisibility: pivot must divide every remaining entry
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t]:
-                    # pull the offending row into the pivot row; the next
-                    # elimination pass then strictly shrinks the pivot
-                    for jj in range(c):
-                        a[t][jj] += a[i][jj]
-                    for jj in range(r):
-                        u[t][jj] += u[i][jj]
-                    break
-            else:
-                continue
-            break
-        else:
-            t += 1
-            continue
-        # re-run elimination on the same corner
+    b = [row + e for row, e in zip(m, identity(r))] + [e + [0] * r for e in identity(c)]
+    flipped = False
+    # Each pass clears column t below the pivot by the gcd step of
+    # _clear_cross: a subtraction keeps |pivot|, any other step shrinks it
+    # (or, once, makes a zero pivot nonzero).  After a transpose, row t is
+    # the column the last pass cleared, and only a non-subtraction step
+    # refills it; a divisibility fix-up forces one.  So the passes end.
     for t in range(min(r, c)):
-        if a[t][t] < 0:
-            for j in range(c):
-                a[t][j] = -a[t][j]
-            for j in range(r):
-                u[t][j] = -u[t][j]
-    return a, u, v
+        while True:
+            for i in range(t + 1, r):
+                y = b[i][t]
+                if not y:
+                    continue
+                x = b[t][t]
+                rt, ri = b[t], b[i]
+                if x and y % x == 0:
+                    q = y // x
+                    b[i] = [v - q * w for v, w in zip(ri, rt)]
+                else:
+                    g, s, u = _xgcd(x, y)
+                    xg, yg = x // g, y // g
+                    b[t] = [s * w + u * v for w, v in zip(rt, ri)]
+                    b[i] = [xg * v - yg * w for w, v in zip(rt, ri)]
+            if any(b[t][t + 1:c]):
+                b, r, c, flipped = transpose(b), c, r, not flipped
+                continue
+            # the pivot must divide the rest, and a zero pivot divides only 0
+            p = b[t][t]
+            bad = [row for row in b[t + 1:r] if any(x % p if p else x for x in row[t + 1:c])]
+            if not bad:
+                break
+            b[t] = [x + y for x, y in zip(b[t], bad[0])]
+    if flipped:
+        b, r, c = transpose(b), c, r
+    for t in range(min(r, c)):
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+    return [row[:c] for row in b[:r]], [row[c:] for row in b[:r]], [row[:c] for row in b[r:]]
 
 
 def elementary_divisors(m, det=None):
@@ -309,15 +274,20 @@ def inertia(m):
     if not is_symmetric(m):
         raise NonSymmetricError("inertia needs a symmetric matrix")
     p = char_poly(m)
-    return (_sign_changes(p),
-            _sign_changes([-x if k % 2 else x for k, x in enumerate(p)]),
+    return (sign_changes(p),
+            sign_changes([-x if k % 2 else x for k, x in enumerate(p)]),
             next(k for k, x in enumerate(p) if x))
 
 
-def _sign_changes(coeffs):
+def sign_changes(seq):
     """Sign changes in a sequence, zeros skipped."""
-    signs = [x > 0 for x in coeffs if x]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+    changes = last = 0
+    for x in seq:
+        if x:
+            if last and (x < 0) != (last < 0):
+                changes += 1
+            last = x
+    return changes
 
 
 def kernel_basis(m):

@@ -15,8 +15,9 @@ line lists at most MAX_CURVES names.  A meets: multiplicity or divisor
 coefficient has at most MAX_DIGITS digits.  Nothing is stated twice: a
 pair of curves has at most one meets: line, in either order, a name at
 most one NAME= on a line, and a sections: line no name twice;
-fibration: takes the keys fiber, zero and rho only.  Errors name the
-line at fault.  The fibration's fiber divisor must be a fiber class.  Its curves are (-2)-curves, so its
+fibration: takes the keys fiber, zero and rho only, and rho is at most
+MAX_RHO.  Errors name the line at fault.  The fibration's fiber divisor
+must be a fiber class.  Its curves are (-2)-curves, so its
 fiber is always one of the reducible fibers, whether or not an `rfiber`
 line declares it.  An `rfiber` line needs a fibration: line and names a
 declared divisor, whose support is classified.  Its NAME=COMPONENT pairs
@@ -47,6 +48,8 @@ MAX_CURVES = 256
 # such a minor has at most 258 * (12 + log10 sqrt(258)), about 3,410 digits.
 MAX_DIGITS = 12
 _INT_LIMIT = 10 ** MAX_DIGITS
+# The Picard number of a K3 is at most its second Betti number.
+MAX_RHO = 22
 
 
 class FileFormatError(K3CertError):
@@ -151,7 +154,12 @@ def parse_config_text(text):
             try:
                 rho = int(kv["rho"])
             except ValueError:
+                _refuse_long_integer(kv["rho"], line_no)
                 raise FileFormatError(f"bad rho {kv['rho']!r}", line_no) from None
+            if not -_INT_LIMIT < rho <= MAX_RHO:
+                _refuse_long_integer(kv["rho"], line_no)
+                raise FileFormatError(
+                    f"rho={rho} is more than {MAX_RHO}, the second Betti number of a K3", line_no)
             fibration = (kv["fiber"], kv["zero"], rho, line_no)
         elif line.startswith("sections:"):
             if sections is not None:

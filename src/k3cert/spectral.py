@@ -28,6 +28,7 @@ from .exactlinalg import (
     poly_primitive,
     poly_pseudo_divmod,
     poly_trim,
+    sign_changes,
     transpose,
 )
 
@@ -137,21 +138,14 @@ def _value(p, a, b):
     return acc
 
 
-def _sign_changes(seq, a, b=1):
-    """Sign changes of the chain at a/b, b > 0, zeros skipped."""
-    changes = last = 0
-    for p in seq:
-        v = _value(p, a, b)
-        if v:
-            if last and (v < 0) != (last < 0):
-                changes += 1
-            last = v
-    return changes
+def _changes(seq, a, b=1):
+    """Sign changes of the chain at a/b, b > 0."""
+    return sign_changes([_value(p, a, b) for p in seq])
 
 
 def _changes_at(seq, x):
     x = Fraction(x)
-    return _sign_changes(seq, x.numerator, x.denominator)
+    return _changes(seq, x.numerator, x.denominator)
 
 
 def count_real_roots(p, a, b):
@@ -169,11 +163,15 @@ def root_bound(p):
     return Fraction(lead + max(abs(c) for c in p[:-1]), lead)
 
 
-def largest_real_root(p, tol=Fraction(1, 10**12), squarefree=False):
+# The width to which largest_real_root refines a root.
+TOL = Fraction(1, 10**12)
+
+
+def largest_real_root(p, squarefree=False):
     """Isolate and refine the largest real root of p; exact bisection.
 
-    Returns (lo, hi) with lo < root <= hi, hi - lo <= tol and, unless the
-    root lies within tol / 2**12 of 0 or within tol / 2**64 of a midpoint
+    Returns (lo, hi) with lo < root <= hi, hi - lo <= TOL and, unless the
+    root lies within TOL / 2**12 of 0 or within TOL / 2**64 of a midpoint
     between two doubles, float(lo) == float(hi), so float(hi) is the
     correctly rounded root.  squarefree=True says that p is already
     squarefree with a positive leading coefficient, as squarefree_part
@@ -188,22 +186,22 @@ def largest_real_root(p, tol=Fraction(1, 10**12), squarefree=False):
     bound = root_bound(p)
     den = bound.denominator
     lo, hi = -bound.numerator, bound.numerator
-    v_lo, v_hi = _sign_changes(chain, lo, den), _sign_changes(chain, hi, den)
+    v_lo, v_hi = _changes(chain, lo, den), _changes(chain, hi, den)
     if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
     # push lo up until only the largest root remains in (lo, hi]
     while v_lo - v_hi > 1:
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
-        v_mid = _sign_changes(chain, mid, den)
+        v_mid = _changes(chain, mid, den)
         if v_mid - v_hi >= 1:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
     # the root is simple and p has a positive leading coefficient, so p is
     # negative on (lo, root) and positive above it: one evaluation a step.
-    # hi - lo > tol is (hi - lo) * tol_den > tol_num * den, and the floor
-    # is tol / 2**64; int / int is correctly rounded, as float(Fraction) is.
-    tol_num, tol_den = tol.numerator, tol.denominator
+    # hi - lo > TOL is (hi - lo) * tol_den > tol_num * den, and the floor
+    # is TOL / 2**64; int / int is correctly rounded, as float(Fraction) is.
+    tol_num, tol_den = TOL.numerator, TOL.denominator
     while ((hi - lo) * tol_den > tol_num * den
            or (lo / den != hi / den and (hi - lo) * tol_den << 64 > tol_num * den)):
         mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
@@ -314,7 +312,7 @@ class EntropyReport:
     no_salem_reason: str | None = None
 
 
-def entropy(m, g, tol=Fraction(1, 10**10)):
+def entropy(m, g):
     """Classify an isometry and compute its entropy log(spectral radius).
 
     The characteristic polynomial is computed once, modulo primes
@@ -375,7 +373,7 @@ def entropy(m, g, tol=Fraction(1, 10**10)):
                 # the radius may sit at a negative eigenvalue; the largest
                 # root of s(x) s(-x) is the largest |real root| of s
                 radius_poly = poly_mul(s, _reflect(s))
-        lo, hi = largest_real_root(radius_poly, tol, squarefree=radius_poly is s)
+        lo, hi = largest_real_root(radius_poly, squarefree=radius_poly is s)
         radius = float(hi)
         return EntropyReport(
             spectral_radius=radius,

@@ -148,6 +148,44 @@ def test_snf_reconstruction():
                 assert b == 0
 
 
+def _sympy_invariant_factors(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    return [abs(int(x)) for x in invariant_factors(Matrix(m), domain=ZZ)]
+
+
+def test_snf_beyond_six_by_six_matches_sympy():
+    from k3cert.lattices import gram_of
+    rng = random.Random(110)
+
+    def rand(r, c):
+        return [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+
+    cases = [rand(n, n) for n in range(7, 13)]
+    cases += [rand(r, c) for r, c in [(7, 12), (12, 8), (9, 11), (11, 10)]]
+    # rank-deficient: a product through k < min(r, c) dimensions
+    cases += [mat_mul(rand(r, k), rand(k, c)) for r, c, k in [(12, 12, 7), (10, 12, 5), (12, 9, 3)]]
+    # zero first row and column around a nonzero interior
+    inner = rand(8, 8)
+    cases.append([[0] * 9] + [[0] + row for row in inner])
+    cases += [[[0] * 5 for _ in range(4)], rand(1, 12), rand(12, 1)]
+    # a dense rank-16 Gram in a random basis of 64 elementary steps
+    g = gram_of("U+E8+A1^6").gram_rows()
+    s = identity(16)
+    for _ in range(64):
+        i, j = rng.sample(range(16), 2)
+        s[i] = [x + rng.choice((1, -1)) * y for x, y in zip(s[i], s[j])]
+    cases.append(mat_mul(s, mat_mul(g, transpose(s))))
+    for m in cases:
+        d, u, v = smith_normal_form(m)
+        assert mat_mul(u, mat_mul(m, v)) == d
+        assert abs(det_exact(u)) == 1 and abs(det_exact(v)) == 1
+        k = min(len(m), len(m[0]))
+        assert all(d[i][j] == 0 for i in range(len(m)) for j in range(len(m[0])) if i != j)
+        inv = _sympy_invariant_factors(m)
+        assert [d[i][i] for i in range(k)] == inv + [0] * (k - len(inv))
+
+
 # ---------------------------------------------------------------------------
 # inertia
 

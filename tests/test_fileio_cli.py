@@ -232,6 +232,15 @@ def test_cli_height_needs_no_declared_incidence(tmp_path, capsys):
     (["mw", "rank", "{file}"], SAMPLE.replace("divisor E: c0=1", "divisor E: c0=-1"),
      "parse error: line 12: fiber divisor 'E' is not a fiber class "
      "(divisor class is not effective)\n"),
+    # rho is a Picard number of a K3, at most 22, and has at most 12 digits
+    (["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=23"),
+     "parse error: line 12: rho=23 is more than 22, the second Betti number of a K3\n"),
+    pytest.param(["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=" + "9" * 4000),
+                 LONG_INTEGER_ERROR.format(line=12, head="9" * 12), id="rho-4000-digits"),
+    pytest.param(["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=" + "9" * 5000),
+                 LONG_INTEGER_ERROR.format(line=12, head="9" * 12), id="rho-5000-digits"),
+    pytest.param(["mw", "rank", "{file}"], SAMPLE.replace("rho=10", "rho=-" + "9" * 13),
+                 LONG_INTEGER_ERROR.format(line=12, head="-" + "9" * 11), id="rho-minus-13-digits"),
 ])
 def test_cli_refuses_grammar_holes_with_a_line_number(tmp_path, capsys, argv, text, message):
     path = tmp_path / "in.txt"

@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "k3cert"
 ALLOWED = {
     ("exactlinalg", "smith_normal_form"): "acceptance criterion 5 checks its transforms",
     ("spectral", "count_real_roots"): "the Sturm entry point the sympy tests check",
-    ("cases", "qbasis_check"): "entry point for perfbench/ and scripts/",
+    ("cases", "qbasis_check"): "entry point for scripts/run_verify.py",
     ("cases", "mutation_kit"): "entry point for perfbench/ and scripts/",
     ("cases", "run_mutation"): "entry point for perfbench/ and scripts/",
     ("cli", "main"): "the console script",

@@ -86,7 +86,7 @@ def test_sturm_root_isolation():
     p = [-2, 0, 1]
     assert count_real_roots(p, 1, 2) == 1
     assert count_real_roots(p, 2, 3) == 0
-    lo, hi = largest_real_root(p, tol=Fraction(1, 10**12))
+    lo, hi = largest_real_root(p)
     mid = (lo + hi) / 2
     assert abs(float(mid) - math.sqrt(2)) < 1e-9
     # a bisection point that hits a rational root keeps it in (lo, hi]
@@ -599,7 +599,7 @@ def test_largest_real_root_brackets_sympy(lead, factors):
     lo, hi = largest_real_root(p)
     assert brackets((lo, hi), max(roots))
     assert hi - lo <= Fraction(1, 10**12)
-    # near 0 the doubles are finer than the refinement floor tol / 2**64
+    # near 0 the doubles are finer than the refinement floor TOL / 2**64
     assert float(lo) == float(hi) or max(roots) == 0
 
 
